@@ -20,7 +20,7 @@ object Featuretools {
       attr <- template.aggAttrs
     } yield QuerySpec(agg, attr, Vector.empty, template.keys)
 
-  /** Materialize all candidates through Spark. */
+  /** Materialize all candidates through the executor. */
   def generate(executor: FeatureQueryExecutor, template: QueryTemplate): Vector[CandidateFeature] =
     candidateSpecs(template).map { q =>
       CandidateFeature(s"${q.agg.name}_${q.aggAttr}", q, executor.featureValues(q))

@@ -10,8 +10,9 @@ import org.apache.spark.sql.functions._
   * tables store values as VARCHAR, so the DuckDB side casts explicitly.
   * `oracleSafe` marks functions whose semantics match DuckDB bit-for-bit;
   * KURTOSIS (population excess in Spark vs sample excess in DuckDB) and
-  * MODE (tie-breaking order) are verified by hand-computed unit tests
-  * instead.
+  * MODE (DuckDB leaves its tie-break unspecified; here a tie goes to the
+  * smallest of the most frequent values) are verified by hand-computed
+  * unit tests instead.
   */
 sealed abstract class AggFunc(val name: String, val oracleSafe: Boolean) {
   /** Catalyst aggregate over the (numeric) aggregation attribute. */
@@ -61,7 +62,7 @@ object AggFunc {
     def sparkExpr(col: Column): Column = kurtosis(col); def duckExpr(col: String) = s"KURTOSIS(${c(col)})"
   }
   case object Mode extends AggFunc("MODE", oracleSafe = false) {
-    def sparkExpr(col: Column): Column = mode(col); def duckExpr(col: String) = s"MODE(${c(col)})"
+    def sparkExpr(col: Column): Column = mode(col, deterministic = true); def duckExpr(col: String) = s"MODE(${c(col)})"
   }
   case object Mad extends AggFunc("MAD", oracleSafe = true) {
     def sparkExpr(col: Column): Column = call_udf("fa_mad", col.cast("double"))

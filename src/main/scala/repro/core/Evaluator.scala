@@ -14,8 +14,8 @@ import repro.proxy._
   *    and the label on train+valid rows, or a fast LR model) used by the
   *    warm-up phase and QTI; higher is better.
   *
-  * Feature columns are produced by Spark ([[FeatureQueryExecutor]]) and
-  * memoized, so TPE re-proposals and the warm-up → generation hand-off
+  * Feature columns are produced by [[FeatureQueryExecutor.featureValues]]
+  * and memoized, so TPE re-proposals and the warm-up → generation hand-off
   * never recompute a query.
   */
 final class Evaluator(
@@ -30,21 +30,24 @@ final class Evaluator(
     val fastModels: Boolean = true,
     /** Feature columns depend only on the query + dataset, so callers may
       * share one store across evaluators (model kinds, ablation variants)
-      * to avoid re-running identical Spark queries.
+      * to avoid re-running identical queries.
       */
     featureStore: mutable.Map[String, Array[Double]] = mutable.HashMap.empty,
 ) {
   private val featureCache = featureStore
   private val lossCache = mutable.HashMap.empty[String, Double]
   private val proxyCache = mutable.HashMap.empty[String, Double]
+  private var executed = 0
 
-  /** Number of Spark feature-query executions so far (for cost accounting). */
-  def queryExecutions: Int = featureCache.size
+  /** Feature queries this evaluator executed so far (for cost accounting);
+    * columns another evaluator already put in a shared store do not count.
+    */
+  def queryExecutions: Int = executed
   /** Number of real (model-training) evaluations so far. */
   def realEvaluations: Int = lossCache.size
 
   def feature(q: QuerySpec): Array[Double] =
-    featureCache.getOrElseUpdate(q.cacheKey, executor.featureValues(q))
+    featureCache.getOrElseUpdate(q.cacheKey, { executed += 1; executor.featureValues(q) })
 
   /** Rows the proxy may look at: train + valid (never test). */
   private lazy val proxyRows: Array[Int] = split.train ++ split.valid

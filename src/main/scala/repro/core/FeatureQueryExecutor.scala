@@ -1,24 +1,24 @@
 package repro.core
 
+import scala.collection.mutable
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-/** Executes predicate-aware feature queries against the relevant table via
-  * the DataFrame API (Catalyst plans the filter → hash-aggregate →
-  * shuffle), and augments the training table per Definition 3.
+/** Executes predicate-aware feature queries against the relevant table and
+  * aligns each feature column to the training rows (Definition 3's LEFT
+  * JOIN, with keys that have no qualifying rows filled with 0.0).
   *
-  * Two equivalent materialization paths exist (tests prove equivalence):
-  *
-  *  - [[augment]]: the paper's LEFT JOIN of D with q(R) — used for final
-  *    feature materialization and the DuckDB oracle tests;
-  *  - [[featureValues]]: the hot search path — the (small) aggregated
-  *    result is collected to a key→value map on the driver and aligned to
-  *    the training rows, avoiding a Spark join per candidate query. The
-  *    group-by aggregation itself still runs in Spark.
+  *  - [[featureValues]] is the search path. On its first call it collects
+  *    the relevant table into the driver as a [[ColumnarTable]]; each key
+  *    subset gets a row → group index on first use. A query is then one
+  *    pass over arrays, not a Spark job.
+  *  - [[featureDf]] is the reference path: the same query planned by
+  *    Catalyst (filter → hash aggregate → shuffle). Tests check the two
+  *    paths against each other and against DuckDB through [[duckSql]].
   *
   * NULL features (keys with no qualifying rows, or NaN-producing
-  * aggregates such as variance of a single row) are imputed with 0.0 on
-  * both paths, mirroring Featuretools' fillna(0) convention.
+  * aggregates such as variance of a single row) are imputed with 0.0,
+  * mirroring Featuretools' fillna(0) convention.
   */
 final class FeatureQueryExecutor(
     val train: DataFrame,
@@ -26,8 +26,6 @@ final class FeatureQueryExecutor(
     val allKeys: Vector[String],
     precollectedKeys: Option[Array[Vector[String]]] = None,
 ) {
-  Aggregates.register(train.sparkSession)
-
   /** Train-side key tuples in row order — collected once, or provided by
     * the caller when it already collected the training rows (guarantees
     * row alignment with the caller's feature matrix).
@@ -36,6 +34,9 @@ final class FeatureQueryExecutor(
     train.select(allKeys.map(col): _*).collect()
       .map(r => Vector.tabulate(allKeys.size)(i => String.valueOf(r.get(i))))
   }
+
+  private lazy val columnar: ColumnarTable = ColumnarTable.collect(relevant, allKeys)
+  private val groupIndexes = mutable.HashMap.empty[Vector[String], ColumnarTable.Groups]
 
   private def predColumn(p: Predicate): Option[Column] = {
     if (p.isEmpty) None
@@ -49,8 +50,9 @@ final class FeatureQueryExecutor(
     }
   }
 
-  /** q(R): keys + `feature` (double; NaN normalized to NULL). */
+  /** q(R) through Spark: keys + `feature` (double; NaN normalized to NULL). */
   def featureDf(q: QuerySpec): DataFrame = {
+    Aggregates.register(relevant.sparkSession)
     val filtered = q.preds.flatMap(predColumn).foldLeft(relevant)((df, c) => df.filter(c))
     val raw = filtered
       .groupBy(q.keys.map(col): _*)
@@ -58,29 +60,21 @@ final class FeatureQueryExecutor(
     raw.withColumn("feature", when(isnan(col("feature")), lit(null)).otherwise(col("feature")))
   }
 
-  /** Definition 3: D LEFT JOIN q(R) with the feature named `name`. */
-  def augment(q: QuerySpec, name: String): DataFrame = {
-    val f = featureDf(q).withColumnRenamed("feature", name)
-    train.join(f, q.keys, "left").na.fill(0.0, Seq(name))
-  }
-
-  /** The feature column aligned to [[trainKeyRows]] (search fast path). */
+  /** The feature column aligned to [[trainKeyRows]], computed over the
+    * driver-side columnar copy of the relevant table.
+    */
   def featureValues(q: QuerySpec): Array[Double] = {
     val keyIdx = q.keys.map(allKeys.indexOf)
     require(keyIdx.forall(_ >= 0), s"query keys ${q.keys} not a subset of $allKeys")
-    val m = featureDf(q).collect().iterator.map { r =>
-      val k = Vector.tabulate(q.keys.size)(i => String.valueOf(r.get(i)))
-      val v = if (r.isNullAt(q.keys.size)) 0.0 else r.getDouble(q.keys.size)
-      k -> v
-    }.toMap
-    trainKeyRows.map { full =>
-      val k = keyIdx.map(full)
-      m.getOrElse(k, 0.0)
+    val groups = groupIndexes.synchronized {
+      groupIndexes.getOrElseUpdate(q.keys, columnar.groups(q.keys, trainKeyRows.map(k => keyIdx.map(k))))
     }
+    val byGroup = columnar.aggregate(q, groups)
+    groups.trainGroup.map(byGroup)
   }
 
   /** DuckDB SQL equivalent of [[featureDf]] over VARCHAR-typed `table`
-    * (see [[repro.Oracle]]): used by correctness tests only.
+    * (see [[repro.Oracle]]): used by correctness checks only.
     */
   def duckSql(q: QuerySpec, table: String): String = {
     val where = q.preds.filterNot(_.isEmpty).flatMap { p =>

@@ -10,7 +10,7 @@ import repro.proxy.ProxyKind
 
 /** One dataset prepared for experiments: training rows collected once
   * (keys / base features / label all from the same collect, so alignment
-  * is guaranteed), predicate domains extracted, Spark executor ready, and
+  * is guaranteed), predicate domains extracted, feature executor ready, and
   * a feature store shared across every method and model so identical
   * queries are never re-executed.
   */

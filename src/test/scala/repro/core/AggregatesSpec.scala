@@ -5,7 +5,8 @@ import repro.SparkSpec
 
 /** Unit semantics of the custom aggregates and the two functions whose
   * DuckDB counterparts differ (KURTOSIS, MODE) — verified against
-  * hand-computed values instead of the oracle.
+  * hand-computed values instead of the oracle, on the Spark path and, for
+  * MODE's tie-break, on the columnar path too.
   */
 class AggregatesSpec extends SparkSpec {
 
@@ -61,8 +62,35 @@ class AggregatesSpec extends SparkSpec {
     assert(math.abs(aggValue(AggFunc.Kurtosis, vs) - expected) < 1e-9)
   }
 
+  /** `agg` over one group through the columnar `featureValues` path. */
+  private def columnarValue(agg: AggFunc, values: Seq[Double]): Double = {
+    import spark.implicits._
+    val ex = new FeatureQueryExecutor(Seq(1L).toDF("k"), values.map(v => (1L, v)).toDF("k", "v"), Vector("k"))
+    ex.featureValues(QuerySpec(agg, "v", Vector.empty, Vector("k"))).head
+  }
+
   test("MODE returns the most frequent value when unambiguous") {
     assert(aggValue(AggFunc.Mode, Seq(1, 2, 2, 2, 3)) == 2.0)
+  }
+
+  test("MODE breaks ties to the smallest most frequent value on both paths") {
+    // -1 and 7 both appear twice: the smaller wins.
+    val ties = Seq(7.0, 2.0, -1.0, 7.0, 5.0, -1.0)
+    assert(aggValue(AggFunc.Mode, ties) == -1.0)
+    assert(columnarValue(AggFunc.Mode, ties) == -1.0)
+    // 3 appears three times and beats the tied pair.
+    val clear = Seq(7.0, 3.0, -1.0, 3.0, 7.0, 3.0, -1.0)
+    assert(aggValue(AggFunc.Mode, clear) == 3.0)
+    assert(columnarValue(AggFunc.Mode, clear) == 3.0)
+  }
+
+  test("ENTROPY and MAD skip NULL inputs") {
+    import spark.implicits._
+    Aggregates.register(spark)
+    val df = Seq((1L, Some(1.0)), (1L, None), (1L, Some(2.0)), (1L, Some(4.0)), (1L, Some(8.0))).toDF("k", "v")
+    val r = df.groupBy("k").agg(expr("fa_entropy(v)"), expr("fa_mad(v)")).collect()(0)
+    assert(math.abs(r.getDouble(1) - 2.0) < 1e-9) // four distinct non-null values
+    assert(r.getDouble(2) == 1.5)
   }
 
   test("registration is idempotent") {
@@ -71,6 +99,15 @@ class AggregatesSpec extends SparkSpec {
     import spark.implicits._
     val df = Seq((1L, 1.0), (1L, 2.0)).toDF("k", "v")
     assert(df.groupBy("k").agg(expr("fa_entropy(v)")).collect()(0).getDouble(1) == 1.0)
+  }
+
+  test("the custom aggregates are registered in every session that plans a query") {
+    Aggregates.register(spark)
+    val other = spark.newSession()
+    import other.implicits._
+    val ex = new FeatureQueryExecutor(Seq(1L).toDF("k"), Seq((1L, 1.0), (1L, 2.0)).toDF("k", "v"), Vector("k"))
+    val q = QuerySpec(AggFunc.Entropy, "v", Vector.empty, Vector("k"))
+    assert(ex.featureDf(q).collect()(0).getDouble(1) == 1.0)
   }
 
   test("AggFunc.byName resolves every function and rejects unknowns") {

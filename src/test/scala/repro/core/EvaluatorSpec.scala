@@ -56,6 +56,20 @@ class EvaluatorSpec extends SparkSpec with MiniData {
     assert(store.size == before) // no re-execution
   }
 
+  test("queryExecutions counts only the executions of this evaluator") {
+    val store = scala.collection.mutable.HashMap.empty[String, Array[Double]]
+    def shared() = new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split,
+      MIProxy, 7, fastModels = true, featureStore = store)
+    val ev1 = shared()
+    ev1.proxyScore(signalQuery)
+    val ev2 = shared()
+    ev2.proxyScore(signalQuery) // served by the store
+    ev2.proxyScore(noiseQuery)
+    assert(store.size == 2)
+    assert(ev1.queryExecutions == 1)
+    assert(ev2.queryExecutions == 1)
+  }
+
   test("withFeature / withFeatures append the expected number of columns") {
     val ev = mkEvaluator()
     val f = ev.feature(signalQuery)

@@ -3,7 +3,9 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
-/** Feature query execution + augmentation semantics (Definition 3). */
+/** Feature query execution and its alignment to the training rows
+  * (Definition 3), on the columnar search path and the Spark reference path.
+  */
 class ExecutorSpec extends SparkSpec with MiniData {
 
   private val q = QuerySpec(AggFunc.Sum, "amt",
@@ -16,26 +18,26 @@ class ExecutorSpec extends SparkSpec with MiniData {
     got.foreach { case (u, v) => assert(math.abs(v - signal(u)) < 1e-6, s"user $u") }
   }
 
-  test("augment left-joins the feature and fills missing keys with 0") {
-    val aug = executor.augment(q, "feat")
-    assert(aug.count() == nUsers) // left join preserves every training row
-    val vals = aug.select("uid", "feat").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    trainRows.foreach { case (u, _, _) =>
-      assert(math.abs(vals(u) - signal.getOrElse(u, 0.0)) < 1e-6, s"user $u")
-    }
+  test("featureValues fills training keys without qualifying rows with 0") {
+    val f = executor.featureValues(q)
+    val unmatched = trainRows.indices.filterNot(i => signal.contains(trainRows(i)._1))
+    assert(unmatched.nonEmpty, "the fixture needs users without qualifying rows")
+    unmatched.foreach(i => assert(f(i) == 0.0, s"row $i"))
   }
 
-  test("augment keeps all original training columns") {
-    val aug = executor.augment(q, "feat")
-    assert(aug.columns.toSet == Set("uid", "b", "label", "feat"))
+  test("featureValues equals the Spark reference path row-by-row") {
+    ReferencePaths.assertClose(executor, q, ReferencePaths.sparkAligned(executor, q))
   }
 
-  test("featureValues equals the augment path row-by-row") {
-    val fast = executor.featureValues(q)
-    val joined = executor.augment(q, "feat").select("uid", "feat").collect()
-      .map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    executor.trainKeyRows.zipWithIndex.foreach { case (k, i) =>
-      assert(math.abs(fast(i) - joined(k.head.toLong)) < 1e-9, s"row $i key $k")
+  test("featureValues equals Spark bit for bit where rounding depends on row order") {
+    // Three hash partitions, so Spark merges partial aggregates across them.
+    val ex = new FeatureQueryExecutor(train, relevant.repartition(3, col("t")), Vector("uid"))
+    for (agg <- Seq(AggFunc.Sum, AggFunc.Avg, AggFunc.VarSamp, AggFunc.StdPop, AggFunc.Kurtosis, AggFunc.Entropy);
+         preds <- Seq(Vector.empty, q.preds)) {
+      val qq = QuerySpec(agg, "amt", preds, Vector("uid"))
+      val (fast, ref) = (ex.featureValues(qq), ReferencePaths.sparkAligned(ex, qq))
+      fast.indices.find(i => fast(i) != ref(i))
+        .foreach(i => fail(s"${qq.cacheKey} row $i: columnar ${fast(i)} vs Spark ${ref(i)}"))
     }
   }
 
@@ -74,14 +76,16 @@ class ExecutorSpec extends SparkSpec with MiniData {
     Oracle.assertEquivalent(executor.featureDf(q), executor.duckSql(q, "r"), "r" -> relevant)
   }
 
-  test("the augmented table matches DuckDB's LEFT JOIN semantics") {
-    val aug = executor.augment(q, "feat").select("uid", "feat")
+  test("featureValues matches DuckDB's LEFT JOIN semantics") {
+    val s = spark
+    import s.implicits._
+    val served = executor.trainKeyRows.map(_.head.toLong).zip(executor.featureValues(q)).toSeq.toDF("uid", "feat")
     val sql =
       s"""SELECT t.uid, COALESCE(f.feat, 0.0) AS feat FROM tr t
          |LEFT JOIN (SELECT uid, CAST(SUM(CAST(amt AS DOUBLE)) AS DOUBLE) AS feat FROM r
          |           WHERE cat = 'A' AND CAST(t AS DOUBLE) >= 5.0 GROUP BY uid) f
          |ON t.uid = f.uid""".stripMargin
-    Oracle.assertEquivalent(aug, sql, "r" -> relevant, "tr" -> train.select("uid"))
+    Oracle.assertEquivalent(served, sql, "r" -> relevant, "tr" -> train.select("uid"))
   }
 
   test("composite keys group and align correctly") {
