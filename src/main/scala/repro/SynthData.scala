@@ -8,7 +8,8 @@ import org.apache.spark.sql.types._
   *
   * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
   * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
-  * the DuckDB oracle sees identical input.
+  * the DuckDB oracle sees identical input; `spark.range` has a fixed 4
+  * partitions because `rand(seed)` is seeded per partition.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
@@ -21,7 +22,7 @@ object SynthData {
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
     import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
-    spark.range(n(NLineitemPerSf, sf)).select(
+    spark.range(0, n(NLineitemPerSf, sf), 1, 4).select(
       (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
       (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
       (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
@@ -41,7 +42,7 @@ object SynthData {
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
+    spark.range(1, n(NOrdersPerSf, sf) + 1, 1, 4).toDF("o_orderkey").select(
       $"o_orderkey",
       (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
@@ -54,7 +55,7 @@ object SynthData {
 
   def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
+    spark.range(1, n(NCustomerPerSf, sf) + 1, 1, 4).toDF("c_custkey").select(
       $"c_custkey",
       (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
       round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
@@ -66,7 +67,7 @@ object SynthData {
 
   def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
+    spark.range(1, n(NPartPerSf, sf) + 1, 1, 4).toDF("p_partkey").select(
       $"p_partkey",
       element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
                        lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
@@ -82,7 +83,7 @@ object SynthData {
     import spark.implicits._
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
     val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
-    spark.range(rows).select(
+    spark.range(0, rows, 1, 4).select(
       least(lit(nKeys),
             greatest(lit(1L),
               pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
@@ -93,7 +94,7 @@ object SynthData {
 
   def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
     import spark.implicits._
-    spark.range(rows).select(
+    spark.range(0, rows, 1, 4).select(
       (rand(seed) * nKeys + 1).cast(LongType) as "k",
       rand(seed + 1)                          as "v",
     )

@@ -35,6 +35,7 @@ object ARDA {
 
     // Importance from a bagged tree ensemble over indicator targets.
     val imp = new Array[Double](x(0).length)
+    val ranks = RegressionTree.ranks(x)
     val targets: Vector[Array[Double]] = task match {
       case MultiClassification(c) =>
         (0 until c).map(cl => yt.map(v => if (v.toInt == cl) 1.0 else 0.0)).toVector
@@ -45,7 +46,7 @@ object ARDA {
         val bag = Array.fill(x.length)(rnd.nextInt(x.length))
         val tree = new RegressionTree(maxDepth = 4, minSamplesLeaf = 4,
           featureFraction = 0.7, seed = seed + 131L * (ti * 8 + b))
-        tree.fit(bag.map(x(_)), bag.map(t(_)))
+        tree.fit(bag.map(x(_)), bag.map(t(_)), RegressionTree.presort(ranks, bag))
         tree.addImportance(imp)
       }
     }

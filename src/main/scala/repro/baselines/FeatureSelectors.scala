@@ -103,6 +103,7 @@ object FeatureSelectors {
                                y: Array[Double], task: Task, split: Splits.Split,
                                k: Int, seed: Long): Vector[Int] = {
     val data = stack(base, candidates, y).select(split.train)
+    val order = RegressionTree.presort(data.x)
     val imp = new Array[Double](data.numCols)
     val targets: Vector[Array[Double]] = task match {
       case MultiClassification(c) =>
@@ -114,7 +115,7 @@ object FeatureSelectors {
       var round = 0
       while (round < 8) {
         val tree = new RegressionTree(maxDepth = 3, minSamplesLeaf = 4, seed = seed + 97L * (ti * 8 + round))
-        tree.fit(data.x, resid)
+        tree.fit(data.x, resid, order)
         tree.addImportance(imp)
         var i = 0
         while (i < resid.length) { resid(i) -= 0.3 * tree.predict(data.x(i)); i += 1 }

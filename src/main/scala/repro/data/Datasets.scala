@@ -39,7 +39,9 @@ final case class TaskDef(
   * of the relevant table (a category filter and/or recency window), so
   * predicate-aware queries genuinely carry more signal than whole-history
   * aggregates — the behaviour the paper's tables measure. Scale factors:
-  * SF=0.01 for unit tests, SF=0.1 for benchmarks.
+  * SF=0.01 for unit tests, SF=0.1 for benchmarks. Every `spark.range` has 4
+  * partitions: `rand(seed)` is seeded per partition, so a count taken from
+  * `defaultParallelism` would make the data depend on the core count.
   */
 object Datasets {
 
@@ -63,7 +65,7 @@ object Datasets {
     val nLogs = rows(600000, sf, 4000)
     val nMerchant = 40
 
-    val base = spark.range(1, nTrain + 1).select(
+    val base = spark.range(1, nTrain + 1, 1, 4).select(
       col("id").as("user_id"),
       (rand(seed + 10) * nMerchant + 1).cast(LongType).as("merchant_id"),
       (rand(seed + 11) * 8 + 1).cast(IntegerType).as("age_range"),
@@ -73,7 +75,7 @@ object Datasets {
     // Users' logs cluster at their own training-pair merchant (~45%) so the
     // composite (user, merchant) key carries enough qualifying rows for a
     // learnable signal even at small SF.
-    val logsRaw = spark.range(nLogs).select(
+    val logsRaw = spark.range(0, nLogs, 1, 4).select(
       (rand(seed) * nTrain + 1).cast(LongType).as("user_id"),
       (rand(seed + 1) * nMerchant + 1).cast(LongType).as("rand_merchant"),
       rand(seed + 14).as("align_r"),
@@ -120,7 +122,7 @@ object Datasets {
   def instacartLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 200L): TaskDef = {
     val nTrain = rows(20000, sf, 240)
     val nLines = rows(600000, sf, 4000)
-    val lines = spark.range(nLines).select(
+    val lines = spark.range(0, nLines, 1, 4).select(
       (rand(seed) * nTrain + 1).cast(LongType).as("user_id"),
       (rand(seed + 1) * 800 + 1).cast(IntegerType).as("product_id"),
       concat(lit("dep"), (rand(seed + 2) * 10).cast(IntegerType)).as("department"),
@@ -132,7 +134,7 @@ object Datasets {
       round(rand(seed + 8) * 20 + 0.5, 2).as("price"),
     ).repartition(4).cache()
 
-    val base = spark.range(1, nTrain + 1).select(
+    val base = spark.range(1, nTrain + 1, 1, 4).select(
       col("id").as("user_id"),
       (rand(seed + 10) * 60 + 1).cast(IntegerType).as("total_orders"),
       (rand(seed + 11) * 30 + 1).cast(IntegerType).as("avg_days_between"),
@@ -161,7 +163,7 @@ object Datasets {
   def studentLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 300L): TaskDef = {
     val nTrain = rows(15000, sf, 200)
     val nEvents = rows(500000, sf, 4000)
-    val events = spark.range(nEvents).select(
+    val events = spark.range(0, nEvents, 1, 4).select(
       (rand(seed) * nTrain + 1).cast(LongType).as("session_id"),
       element_at(
         array(lit("navigate"), lit("click"), lit("hover"), lit("checkpoint"),
@@ -178,7 +180,7 @@ object Datasets {
       (rand(seed + 14) * 100).cast(IntegerType).as("clicks"),
     ).repartition(4).cache()
 
-    val base = spark.range(1, nTrain + 1).select(
+    val base = spark.range(1, nTrain + 1, 1, 4).select(
       col("id").as("session_id"),
       (rand(seed + 10) * 12 + 1).cast(IntegerType).as("grade_level"),
       round(rand(seed + 11) * 100, 1).as("prior_score"),
@@ -208,7 +210,7 @@ object Datasets {
   def merchantLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 400L): TaskDef = {
     val nTrain = rows(20000, sf, 220)
     val nTxn = rows(450000, sf, 4000)
-    val txns = spark.range(nTxn).select(
+    val txns = spark.range(0, nTxn, 1, 4).select(
       (rand(seed) * nTrain + 1).cast(LongType).as("merchant_id"),
       round(rand(seed + 1) * 200 + 1, 2).as("purchase_amount"),
       (rand(seed + 2) * 14 - 13).cast(IntegerType).as("month_lag"),
@@ -221,7 +223,7 @@ object Datasets {
       (rand(seed + 9) * 30 + 1).cast(IntegerType).as("subsector"),
     ).repartition(4).cache()
 
-    val base = spark.range(1, nTrain + 1).select(
+    val base = spark.range(1, nTrain + 1, 1, 4).select(
       col("id").as("merchant_id"),
       (rand(seed + 10) * 50 + 1).cast(IntegerType).as("city_id"),
       (rand(seed + 11) * 60 + 1).cast(IntegerType).as("active_months"),
@@ -252,7 +254,7 @@ object Datasets {
     */
   def covtypeLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 500L): TaskDef = {
     val n = rows(30000, sf, 300)
-    val feats = spark.range(1, n + 1).select(
+    val feats = spark.range(1, n + 1, 1, 4).select(
       (col("id") :: (1 to 12).map(i =>
         round(rand(seed + i) * 2 - 1, 4).as(s"f$i")).toList): _*)
       .withColumnRenamed("id", "data_index")
@@ -280,7 +282,7 @@ object Datasets {
     */
   def householdLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 600L): TaskDef = {
     val n = rows(19000, sf, 250)
-    val wide = spark.range(1, n + 1).select(
+    val wide = spark.range(1, n + 1, 1, 4).select(
       (col("id") ::
         (1 to 5).map(i => round(rand(seed + i) * 2 - 1, 4).as(s"b$i")).toList :::
         (1 to 20).map(i => round(rand(seed + 100 + i) * 2 - 1, 4).as(s"r$i")).toList :::

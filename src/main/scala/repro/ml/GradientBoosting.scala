@@ -25,12 +25,14 @@ final class GradientBoostingTrainer(
   }
 
   override def fit(data: DenseData): Predictor = {
+    // Every tree of every head fits the same x, so one presort serves all.
+    val order = RegressionTree.presort(data.x)
     val heads: Array[Head] = task match {
-      case Regression           => Array(fitHead(data.x, data.y, logistic = false, seed))
-      case BinaryClassification => Array(fitHead(data.x, data.y, logistic = true, seed))
+      case Regression           => Array(fitHead(data.x, order, data.y, logistic = false, seed))
+      case BinaryClassification => Array(fitHead(data.x, order, data.y, logistic = true, seed))
       case MultiClassification(k) =>
         Array.tabulate(k) { c =>
-          fitHead(data.x, data.y.map(v => if (v.toInt == c) 1.0 else 0.0), logistic = true, seed + 7919L * c)
+          fitHead(data.x, order, data.y.map(v => if (v.toInt == c) 1.0 else 0.0), logistic = true, seed + 7919L * c)
         }
     }
     new Predictor {
@@ -47,7 +49,8 @@ final class GradientBoostingTrainer(
 
   private def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
-  private def fitHead(x: Array[Array[Double]], y: Array[Double], logistic: Boolean, s: Long): Head = {
+  private def fitHead(x: Array[Array[Double]], order: Array[Array[Int]], y: Array[Double],
+                      logistic: Boolean, s: Long): Head = {
     val n = x.length
     val base =
       if (!logistic) y.sum / n
@@ -63,7 +66,7 @@ final class GradientBoostingTrainer(
         if (logistic) y(i) - sigmoid(f(i)) else y(i) - f(i)
       }
       val tree = new RegressionTree(maxDepth, minSamplesLeaf, featureFraction = 1.0, seed = s + 101L * t)
-      tree.fit(x, grad)
+      tree.fit(x, grad, order)
       var i = 0
       while (i < n) { f(i) += learningRate * tree.predict(x(i)); i += 1 }
       trees(t) = tree

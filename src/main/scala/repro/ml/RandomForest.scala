@@ -20,12 +20,13 @@ final class RandomForestTrainer(
 ) extends Trainer {
 
   override def fit(data: DenseData): Predictor = {
+    val ranks = RegressionTree.ranks(data.x)
     val heads: Array[Array[Double] => Double] = task match {
-      case Regression           => Array(fitForest(data.x, data.y, seed))
-      case BinaryClassification => Array(fitForest(data.x, data.y, seed))
+      case Regression           => Array(fitForest(data.x, ranks, data.y, seed))
+      case BinaryClassification => Array(fitForest(data.x, ranks, data.y, seed))
       case MultiClassification(k) =>
         Array.tabulate(k) { c =>
-          fitForest(data.x, data.y.map(v => if (v.toInt == c) 1.0 else 0.0), seed + 1000L * c)
+          fitForest(data.x, ranks, data.y.map(v => if (v.toInt == c) 1.0 else 0.0), seed + 1000L * c)
         }
     }
     new Predictor {
@@ -43,14 +44,18 @@ final class RandomForestTrainer(
     }
   }
 
-  /** Fit one bagged forest head and return its averaged prediction function. */
-  private def fitForest(x: Array[Array[Double]], y: Array[Double], s: Long): Array[Double] => Double = {
+  /** Fit one bagged forest head and return its averaged prediction function.
+    * Each bootstrap sample is presorted from `ranks` = [[RegressionTree.ranks]]
+    * of `x` with one primitive sort per feature.
+    */
+  private def fitForest(x: Array[Array[Double]], ranks: Array[Array[Int]], y: Array[Double],
+                        s: Long): Array[Double] => Double = {
     val rnd = new Random(s)
     val n = x.length
     val trees = (0 until numTrees).map { t =>
       val idx = Array.fill(n)(rnd.nextInt(n)) // bootstrap sample
       new RegressionTree(maxDepth, minSamplesLeaf, featureFraction, s + 31L * t)
-        .fit(idx.map(x), idx.map(y))
+        .fit(idx.map(x), idx.map(y), RegressionTree.presort(ranks, idx))
     }.toArray
     row => trees.iterator.map(_.predict(row)).sum / numTrees
   }

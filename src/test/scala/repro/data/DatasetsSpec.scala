@@ -1,5 +1,7 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.core.{FeatureQueryExecutor, Predicate, QuerySpec, AggFunc}
 import repro.ml.{BinaryClassification, MultiClassification, Regression}
@@ -77,6 +79,31 @@ class DatasetsSpec extends SparkSpec {
     val sumB = b.train.groupBy().sum("label").collect()(0).getLong(0)
     assert(sumA == sumB)
     assert(a.relevant.count() == b.relevant.count())
+  }
+
+  /** Golden (training rows, relevant rows, label sum, sum of the first
+    * aggregation attribute) at SF 0.01. Sums run on the driver in sorted
+    * order, so they are exact and do not depend on how Spark merges partial
+    * sums.
+    */
+  private val golden = Map(
+    "Tmall" -> (240L, 6000L, 94.0, 307036.22999999946),
+    "Instacart" -> (240L, 6000L, 110.0, 62764.940000000075),
+    "Student" -> (200L, 5000L, 83.0, 2476726.8699999945),
+    "Merchant" -> (220L, 4500L, 13.901599999999988, 451091.0299999999),
+    "Covtype" -> (300L, 300L, 450.0, -7.520099999999944),
+    "Household" -> (250L, 250L, 373.0, -1.4863999999999775),
+  )
+  private lazy val goldenSf = Datasets.oneToMany(spark, 0.01) ++ Datasets.oneToOne(spark, 0.01)
+
+  for (name <- golden.keys.toSeq.sorted) {
+    test(s"$name: SF 0.01 content matches its golden fingerprint") {
+      val td = goldenSf.find(_.name == name).get
+      def sortedSum(df: DataFrame, c: String): Double =
+        df.select(col(c).cast("double")).collect().map(_.getDouble(0)).sorted.sum
+      val got = (td.train.count(), td.relevant.count(), sortedSum(td.train, td.label), sortedSum(td.relevant, td.aggAttrs.head))
+      assert(got == golden(name), s"$name fingerprint $got, golden ${golden(name)}")
+    }
   }
 
   test("scale factor scales row counts") {

@@ -5,10 +5,13 @@ import scala.util.Random
 
 class TreeModelsSpec extends AnyFunSuite {
 
+  private def fit(tree: RegressionTree, x: Array[Array[Double]], y: Array[Double]): RegressionTree =
+    tree.fit(x, y, RegressionTree.presort(x))
+
   test("regression tree fits a step function exactly") {
     val x = Array.tabulate(100)(i => Array(i.toDouble))
     val y = x.map(r => if (r(0) < 50) 1.0 else 5.0)
-    val tree = new RegressionTree(maxDepth = 2, minSamplesLeaf = 2).fit(x, y)
+    val tree = fit(new RegressionTree(maxDepth = 2, minSamplesLeaf = 2), x, y)
     assert(tree.predict(Array(10.0)) == 1.0)
     assert(tree.predict(Array(90.0)) == 5.0)
   }
@@ -16,7 +19,7 @@ class TreeModelsSpec extends AnyFunSuite {
   test("regression tree respects maxDepth = 0 (single leaf = mean)") {
     val x = Array(Array(0.0), Array(1.0))
     val y = Array(0.0, 10.0)
-    val tree = new RegressionTree(maxDepth = 0).fit(x, y)
+    val tree = fit(new RegressionTree(maxDepth = 0), x, y)
     assert(tree.predict(Array(0.0)) == 5.0)
   }
 
@@ -24,7 +27,7 @@ class TreeModelsSpec extends AnyFunSuite {
     val x = Array.tabulate(10)(i => Array(i.toDouble))
     val y = Array.tabulate(10)(i => if (i == 0) 100.0 else 0.0)
     // minSamplesLeaf 5 forbids isolating the single outlier at 0.
-    val tree = new RegressionTree(maxDepth = 5, minSamplesLeaf = 5).fit(x, y)
+    val tree = fit(new RegressionTree(maxDepth = 5, minSamplesLeaf = 5), x, y)
     assert(tree.predict(Array(0.0)) < 100.0)
   }
 
@@ -35,14 +38,25 @@ class TreeModelsSpec extends AnyFunSuite {
   test("regression tree importance counts splits on the used feature") {
     val x = Array.tabulate(100)(i => Array(i.toDouble, 0.0))
     val y = x.map(r => if (r(0) < 50) 0.0 else 1.0)
-    val tree = new RegressionTree(maxDepth = 3, minSamplesLeaf = 2).fit(x, y)
+    val tree = fit(new RegressionTree(maxDepth = 3, minSamplesLeaf = 2), x, y)
     val imp = new Array[Double](2)
     tree.addImportance(imp)
     assert(imp(0) > 0 && imp(1) == 0.0)
   }
 
   test("regression tree rejects empty data") {
-    intercept[IllegalArgumentException](new RegressionTree().fit(Array.empty, Array.empty))
+    intercept[IllegalArgumentException](fit(new RegressionTree(), Array.empty, Array.empty))
+  }
+
+  test("regression tree rejects a ragged or column-less x with a clear message") {
+    val x = Array(Array(1.0, 2.0), Array(3.0, 4.0), Array(5.0))
+    val y = Array(0.0, 1.0, 2.0)
+    val inPresort = intercept[IllegalArgumentException](RegressionTree.presort(x))
+    assert(inPresort.getMessage.contains("row 2 has 1 columns"), inPresort.getMessage)
+    val inFit = intercept[IllegalArgumentException](new RegressionTree().fit(x, y, RegressionTree.presort(x.take(2))))
+    assert(inFit.getMessage.contains("row 2 has 1 columns"), inFit.getMessage)
+    val empty = intercept[IllegalArgumentException](fit(new RegressionTree(), Array(Array.empty[Double]), Array(0.0)))
+    assert(empty.getMessage.contains("at least one column"), empty.getMessage)
   }
 
   test("random forest beats chance on a noisy threshold problem") {
