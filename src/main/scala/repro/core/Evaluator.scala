@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
 import scala.collection.mutable
 import repro.ml._
 import repro.proxy._
@@ -17,6 +18,13 @@ import repro.proxy._
   * Feature columns are produced by [[FeatureQueryExecutor.featureValues]]
   * and memoized, so TPE re-proposals and the warm-up → generation hand-off
   * never recompute a query.
+  *
+  * Safe to call from several threads ([[Parallel.map]] runs search units
+  * concurrently). Each loss and proxy key is computed exactly once, outside
+  * any lock shared with other keys. The feature store is locked (its own
+  * monitor) for each lookup, so a store that is not thread-safe still sees
+  * one `getOrElseUpdate` per evaluation and one `featureValues` call per
+  * miss; code that touches the store while a search runs must lock it too.
   */
 final class Evaluator(
     val executor: FeatureQueryExecutor,
@@ -34,10 +42,9 @@ final class Evaluator(
       */
     featureStore: mutable.Map[String, Array[Double]] = mutable.HashMap.empty,
 ) {
-  private val featureCache = featureStore
-  private val lossCache = mutable.HashMap.empty[String, Double]
-  private val proxyCache = mutable.HashMap.empty[String, Double]
-  private var executed = 0
+  private val lossCache = new ConcurrentHashMap[String, Once]
+  private val proxyCache = new ConcurrentHashMap[String, Once]
+  @volatile private var executed = 0
 
   /** Feature queries this evaluator executed so far (for cost accounting);
     * columns another evaluator already put in a shared store do not count.
@@ -46,18 +53,25 @@ final class Evaluator(
   /** Number of real (model-training) evaluations so far. */
   def realEvaluations: Int = lossCache.size
 
-  def feature(q: QuerySpec): Array[Double] =
-    featureCache.getOrElseUpdate(q.cacheKey, { executed += 1; executor.featureValues(q) })
+  def feature(q: QuerySpec): Array[Double] = featureStore.synchronized {
+    featureStore.getOrElseUpdate(q.cacheKey, { executed += 1; executor.featureValues(q) })
+  }
+
+  /** The value of `q` in `cache`, computed by the first caller only; later
+    * callers wait on that key's cell, not on the map.
+    */
+  private def memo(cache: ConcurrentHashMap[String, Once], q: QuerySpec)(compute: => Double): Double =
+    cache.computeIfAbsent(q.cacheKey, _ => new Once(compute)).value
 
   /** Rows the proxy may look at: train + valid (never test). */
   private lazy val proxyRows: Array[Int] = split.train ++ split.valid
 
-  def realLoss(q: QuerySpec): Double = lossCache.getOrElseUpdate(q.cacheKey, {
+  def realLoss(q: QuerySpec): Double = memo(lossCache, q) {
     val data = withFeature(feature(q))
     Models.splitLoss(modelKind, task, data, split.train, split.valid, seed, fastModels)
-  })
+  }
 
-  def proxyScore(q: QuerySpec): Double = proxyCache.getOrElseUpdate(q.cacheKey, {
+  def proxyScore(q: QuerySpec): Double = memo(proxyCache, q) {
     val f = feature(q)
     proxy match {
       case MIProxy =>
@@ -69,7 +83,7 @@ final class Evaluator(
         val data = withFeature(f)
         -Models.splitLoss(LRModel, task, data, split.train, split.valid, seed, fast = true)
     }
-  })
+  }
 
   /** Base matrix with one extra feature column appended. */
   def withFeature(f: Array[Double]): DenseData =
@@ -78,4 +92,11 @@ final class Evaluator(
   /** Base matrix with many extra feature columns appended. */
   def withFeatures(fs: Seq[Array[Double]]): DenseData =
     DenseData(baseX.indices.map(i => baseX(i) ++ fs.map(_(i))).toArray, y)
+}
+
+/** A value computed on first use; concurrent first users wait for the one
+  * computation (a `lazy val` locks its own instance).
+  */
+private final class Once(compute: => Double) {
+  lazy val value: Double = compute
 }

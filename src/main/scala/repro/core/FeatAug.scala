@@ -56,18 +56,11 @@ object FeatAug {
           .topN(budget.nTemplates)
       } else Vector(attrs)
 
-    val chosen = scala.collection.mutable.LinkedHashMap.empty[String, QuerySpec]
-    templates.zipWithIndex.foreach { case (p, i) =>
-      val ranked = SqlQueryGeneration.generate(
+    val perPool = if (config.useQTI) budget.queriesPerTemplate else budget.numFeatures
+    select(templates, evaluator, perPool) { (p, i) =>
+      SqlQueryGeneration.generate(
         mkCodec(p), evaluator, budget, useWarmup = config.useWarmup, seed = config.seed + 7919L * (i + 1))
-      // Top queries from this pool, skipping duplicates already chosen.
-      val perPool = if (config.useQTI) budget.queriesPerTemplate else budget.numFeatures
-      ranked.iterator
-        .filterNot { case (q, _) => chosen.contains(q.cacheKey) }
-        .take(perPool)
-        .foreach { case (q, _) => chosen.update(q.cacheKey, q) }
     }
-    RunResult(chosen.values.toVector, templates, evaluator.queryExecutions, evaluator.realEvaluations)
   }
 
   /** The Random baseline: random templates, random pool search with the
@@ -85,12 +78,24 @@ object FeatAug {
       val size = 1 + rnd.nextInt(math.min(attrs.size, budget.beamDepth))
       rnd.shuffle(attrs).take(size).sortBy(attrs.indexOf)
     }.distinctBy(_.mkString(",")) // duplicates waste a template slot, as in random choice
+    select(templates, evaluator, budget.queriesPerTemplate) { (p, i) =>
+      SqlQueryGeneration.generateRandom(mkCodec(p), evaluator, budget, seed + 104729L * (i + 1))
+    }
+  }
+
+  /** Searches every template's pool (the `i`-th with `search(p, i)`) and
+    * takes the top `perPool` queries of each, skipping queries already
+    * chosen. Pools are independent given their seeds, so they run
+    * concurrently; their rankings are merged in template order.
+    */
+  private def select(templates: Vector[Vector[String]], evaluator: Evaluator, perPool: Int)(
+      search: (Vector[String], Int) => Vector[(QuerySpec, Double)]): RunResult = {
+    val rankings = Parallel.map(templates.zipWithIndex) { case (p, i) => search(p, i) }
     val chosen = scala.collection.mutable.LinkedHashMap.empty[String, QuerySpec]
-    templates.zipWithIndex.foreach { case (p, i) =>
-      val ranked = SqlQueryGeneration.generateRandom(mkCodec(p), evaluator, budget, seed + 104729L * (i + 1))
+    rankings.foreach { ranked =>
       ranked.iterator
         .filterNot { case (q, _) => chosen.contains(q.cacheKey) }
-        .take(budget.queriesPerTemplate)
+        .take(perPool)
         .foreach { case (q, _) => chosen.update(q.cacheKey, q) }
     }
     RunResult(chosen.values.toVector, templates, evaluator.queryExecutions, evaluator.realEvaluations)

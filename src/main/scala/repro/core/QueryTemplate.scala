@@ -19,10 +19,15 @@ final case class QueryTemplate(
     * (F/A/K are fixed per dataset, Definition 4 varies P).
     */
   def pKey: String = predAttrs.sorted.mkString(",")
+}
 
-  /** One-hot encoding of P over the ordered universe `attr` (QTI Opt. 2). */
-  def encode(attrs: Vector[String]): Array[Double] =
-    attrs.map(a => if (predAttrs.contains(a)) 1.0 else 0.0).toArray
+object QueryTemplate {
+
+  /** One-hot encoding of the attribute combination `p` over the ordered
+    * universe `attrs`: QTI's predictor input (Opt. 2).
+    */
+  def encode(attrs: Vector[String], p: Vector[String]): Array[Double] =
+    attrs.map(a => if (p.contains(a)) 1.0 else 0.0).toArray
 }
 
 /** One conjunct of the WHERE clause: an equality predicate on a categorical

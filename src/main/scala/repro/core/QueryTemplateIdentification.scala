@@ -50,17 +50,20 @@ object QueryTemplateIdentification {
       -new TPE(codec.space, nodeSeed).minimize(obj, budget.qtiProxyIters).best._2
     }
 
-    def record(p: Vector[String], nodeSeed: Long): Node = {
-      val node = Node(p, effectiveness(p, nodeSeed))
-      evaluated += node
-      seen += p.sorted.mkString(",")
-      node
+    // A layer's nodes are independent given their seeds, so they run
+    // concurrently; they are recorded in layer order, so the predictor sees
+    // the same rows in the same order as a sequential run.
+    def evaluateLayer(layer: Vector[(Vector[String], Long)]): Vector[Node] = {
+      val nodes = Parallel.map(layer) { case (p, nodeSeed) => Node(p, effectiveness(p, nodeSeed)) }
+      evaluated ++= nodes
+      seen ++= nodes.map(_.pAttrs.sorted.mkString(","))
+      nodes
     }
 
     // Layer 1: every singleton is evaluated (this also bootstraps the
     // predictor's training data, as in Figure 4).
-    val layer1 = attrs.zipWithIndex.map { case (a, i) => record(Vector(a), seed + i) }
-    var beam = layer1.sortBy(-_.score).take(budget.beamWidth).toVector
+    val layer1 = evaluateLayer(attrs.zipWithIndex.map { case (a, i) => (Vector(a), seed + i) })
+    var beam = layer1.sortBy(-_.score).take(budget.beamWidth)
 
     var depth = 2
     while (depth <= math.min(budget.beamDepth, attrs.size) && beam.nonEmpty) {
@@ -73,10 +76,10 @@ object QueryTemplateIdentification {
         if (!usePredictor || candidates.size <= budget.beamWidth) candidates
         else {
           val predictor = fitPredictor(attrs, evaluated.toVector)
-          candidates.sortBy(p => -predictor(encode(attrs, p))).take(budget.beamWidth)
+          candidates.sortBy(p => -predictor(QueryTemplate.encode(attrs, p))).take(budget.beamWidth)
         }
 
-      val layer = toEvaluate.zipWithIndex.map { case (p, i) => record(p, seed + 1000L * depth + i) }
+      val layer = evaluateLayer(toEvaluate.zipWithIndex.map { case (p, i) => (p, seed + 1000L * depth + i) })
       beam = layer.sortBy(-_.score).take(budget.beamWidth)
       depth += 1
     }
@@ -84,12 +87,9 @@ object QueryTemplateIdentification {
     Result(evaluated.toVector, evaluated.size)
   }
 
-  private def encode(attrs: Vector[String], p: Vector[String]): Array[Double] =
-    attrs.map(a => if (p.contains(a)) 1.0 else 0.0).toArray
-
   /** Ridge regression over one-hot encodings → predicted proxy score. */
   private def fitPredictor(attrs: Vector[String], nodes: Vector[Node]): Array[Double] => Double = {
-    val x = nodes.map(n => encode(attrs, n.pAttrs)).toArray
+    val x = nodes.map(n => QueryTemplate.encode(attrs, n.pAttrs)).toArray
     val y = nodes.map(_.score).toArray
     val model = new RidgeRegressionTrainer(l2 = 1e-2).fit(DenseData(x, y))
     enc => model.scores(enc)(0)

@@ -6,7 +6,7 @@ import repro.baselines.{AutoFeature, FeatureSelectors}
 import repro.core.{FeatAugConfig, SearchBudget}
 import repro.data.Datasets
 import repro.ml._
-import repro.proxy.{LRProxy, MIProxy, ProxyKind, SCProxy}
+import repro.proxy.{LRProxy, SCProxy}
 
 /** A rendered experiment table (the reproduction of one paper table). */
 final case class ResultTable(title: String, header: Vector[String], rows: Vector[Vector[String]]) {
@@ -73,10 +73,6 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
       case other   => throw new IllegalArgumentException(s"unknown variant $other")
     }
     cached(p, mk, s"FeatAug-$variant")(Methods.runFeatAug(p, mk, cfg)._1)
-  }
-
-  def proxyVariantName(proxy: ProxyKind): String = proxy match {
-    case MIProxy => "Full"; case SCProxy => "SC"; case LRProxy => "LRpx"
   }
 
   private def fmt(v: Double): String = f"$v%.4f"

@@ -70,6 +70,66 @@ class EvaluatorSpec extends SparkSpec with MiniData {
     assert(ev2.queryExecutions == 1)
   }
 
+  test("concurrent evaluations compute each query once and equal a single-threaded evaluator's") {
+    // A store that, like the benchmark's, is not thread-safe and counts
+    // lookups and misses; `inside` catches two lookups overlapping.
+    final class CountingStore extends scala.collection.mutable.AbstractMap[String, Array[Double]] {
+      private val columns = scala.collection.mutable.HashMap.empty[String, Array[Double]]
+      private val inside = new java.util.concurrent.atomic.AtomicInteger
+      var lookups = 0
+      var misses = 0
+      var overlapped = false
+      override def getOrElseUpdate(key: String, op: => Array[Double]): Array[Double] = {
+        if (inside.incrementAndGet() > 1) overlapped = true
+        try {
+          lookups += 1
+          columns.getOrElse(key, { misses += 1; val v = op; columns.update(key, v); v })
+        } finally inside.decrementAndGet()
+      }
+      override def get(key: String): Option[Array[Double]] = columns.get(key)
+      override def iterator: Iterator[(String, Array[Double])] = columns.iterator
+      override def addOne(kv: (String, Array[Double])): this.type = { columns.addOne(kv); this }
+      override def subtractOne(key: String): this.type = { columns.subtractOne(key); this }
+    }
+    val queries = for {
+      agg <- Vector(AggFunc.Sum, AggFunc.Avg, AggFunc.Count)
+      cat <- Vector("A", "B", "C", "D")
+    } yield QuerySpec(agg, "amt", Vector(Predicate("cat", Some(cat), None, None)), Vector("uid"))
+    val store = new CountingStore
+    val ev = new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split,
+      MIProxy, 7, fastModels = true, featureStore = store)
+    val threads = 8
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(threads)
+    val results = try {
+      val futures = (0 until threads).map { t =>
+        pool.submit(new java.util.concurrent.Callable[Vector[(String, Long, Long)]] {
+          def call() = {
+            start.await()
+            // Every thread walks all queries, from a different offset.
+            queries.indices.toVector.map(i => queries((i + 3 * t) % queries.size)).map { q =>
+              (q.cacheKey, java.lang.Double.doubleToRawLongBits(ev.realLoss(q)),
+                java.lang.Double.doubleToRawLongBits(ev.proxyScore(q)))
+            }
+          }
+        })
+      }
+      start.countDown()
+      futures.flatMap(_.get())
+    } finally pool.shutdown()
+    assert(!store.overlapped, "the store saw overlapping lookups")
+    assert(store.misses == queries.size)
+    assert(store.lookups == 2 * queries.size) // one per real and one per proxy evaluation
+    assert(ev.queryExecutions == queries.size)
+    assert(ev.realEvaluations == queries.size)
+    val fresh = mkEvaluator()
+    val expected = queries.map { q =>
+      q.cacheKey -> (java.lang.Double.doubleToRawLongBits(fresh.realLoss(q)),
+        java.lang.Double.doubleToRawLongBits(fresh.proxyScore(q)))
+    }.toMap
+    results.foreach { case (key, loss, proxy) => assert((loss, proxy) == expected(key), key) }
+  }
+
   test("withFeature / withFeatures append the expected number of columns") {
     val ev = mkEvaluator()
     val f = ev.feature(signalQuery)

@@ -25,7 +25,7 @@ class QueryModelSpec extends AnyFunSuite {
   }
 
   test("one-hot encoding marks exactly the P attributes") {
-    val enc = t.encode(Vector("cat", "t", "z"))
+    val enc = QueryTemplate.encode(Vector("cat", "t", "z"), t.predAttrs)
     assert(enc.toSeq == Seq(1.0, 1.0, 0.0))
   }
 
