@@ -29,9 +29,8 @@ object ARDA {
     val n = y.length
     val noise = Vector.fill(noiseCols)(Array.fill(n)(rnd.nextGaussian()))
 
-    val trainIdx = split.train
-    val x = trainIdx.map(i => base(i) ++ candidates.map(_.values(i)) ++ noise.map(_(i)))
-    val yt = trainIdx.map(y)
+    val data = DenseData.appendColumns(base, candidates.map(_.values) ++ noise, y).select(split.train)
+    val (x, yt) = (data.x, data.y)
 
     // Importance from a bagged tree ensemble over indicator targets.
     val imp = new Array[Double](x(0).length)

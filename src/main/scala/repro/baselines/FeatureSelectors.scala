@@ -71,7 +71,7 @@ object FeatureSelectors {
   private def byLrImportance(base: Array[Array[Double]], candidates: Vector[CandidateFeature],
                              y: Array[Double], task: Task, split: Splits.Split,
                              k: Int, seed: Long): Vector[Int] = {
-    val data = stack(base, candidates, y)
+    val data = DenseData.appendColumns(base, candidates.map(_.values), y)
     val train = data.select(split.train)
     val trainer: Trainer = task match {
       case Regression => new RidgeRegressionTrainer()
@@ -102,7 +102,7 @@ object FeatureSelectors {
   private def byTreeImportance(base: Array[Array[Double]], candidates: Vector[CandidateFeature],
                                y: Array[Double], task: Task, split: Splits.Split,
                                k: Int, seed: Long): Vector[Int] = {
-    val data = stack(base, candidates, y).select(split.train)
+    val data = DenseData.appendColumns(base, candidates.map(_.values), y).select(split.train)
     val order = RegressionTree.presort(data.x)
     val imp = new Array[Double](data.numCols)
     val targets: Vector[Array[Double]] = task match {
@@ -180,13 +180,9 @@ object FeatureSelectors {
   def evalSet(base: Array[Array[Double]], candidates: Vector[CandidateFeature], chosen: Vector[Int],
               y: Array[Double], task: Task, modelKind: ModelKind, split: Splits.Split,
               seed: Long, maxTrainRows: Int = 350, maxValidRows: Int = 250): Double = {
-    val data = stack(base, chosen.map(candidates), y)
+    val data = DenseData.appendColumns(base, chosen.map(candidates(_).values), y)
     val m = Models.splitMetric(modelKind, task, data,
       split.train.take(maxTrainRows), split.valid.take(maxValidRows), seed, fast = true)
     if (Metrics.higherIsBetter(task)) m else -m
   }
-
-  /** base ++ candidate columns as a DenseData. */
-  def stack(base: Array[Array[Double]], chosen: Seq[CandidateFeature], y: Array[Double]): DenseData =
-    DenseData(base.indices.map(i => base(i) ++ chosen.map(_.values(i))).toArray, y)
 }

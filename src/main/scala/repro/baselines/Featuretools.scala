@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{FeatureQueryExecutor, QuerySpec, QueryTemplate}
+import repro.core.{QuerySpec, QueryTemplate}
 
 /** A named materialized feature column aligned to the training rows. */
 final case class CandidateFeature(name: String, spec: QuerySpec, values: Array[Double])
@@ -19,14 +19,4 @@ object Featuretools {
       agg <- template.aggFuncs
       attr <- template.aggAttrs
     } yield QuerySpec(agg, attr, Vector.empty, template.keys)
-
-  /** Materialize all candidates through the executor. */
-  def generate(executor: FeatureQueryExecutor, template: QueryTemplate): Vector[CandidateFeature] =
-    candidateSpecs(template).map { q =>
-      CandidateFeature(s"${q.agg.name}_${q.aggAttr}", q, executor.featureValues(q))
-    }
-
-  /** The plain-FT feature set: first `k` by enumeration order. */
-  def firstK(candidates: Vector[CandidateFeature], k: Int): Vector[CandidateFeature] =
-    candidates.take(k)
 }

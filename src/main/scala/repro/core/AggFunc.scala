@@ -76,10 +76,4 @@ object AggFunc {
   lazy val all: Vector[AggFunc] = Vector(
     Sum, Min, Max, Count, Avg, CountDistinct, VarPop, VarSamp,
     StdPop, StdSamp, Entropy, Kurtosis, Mode, Mad, Median)
-
-  /** A cheaper subset for unit tests and tight search budgets. */
-  lazy val basic: Vector[AggFunc] = Vector(Sum, Min, Max, Count, Avg)
-
-  def byName(n: String): AggFunc =
-    all.find(_.name == n).getOrElse(throw new IllegalArgumentException(s"unknown agg $n"))
 }

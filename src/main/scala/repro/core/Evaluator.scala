@@ -9,8 +9,8 @@ import repro.proxy._
   *
   *  - [[realLoss]]: the paper's expensive oracle — augment the training
   *    table with the candidate feature (base features + this one), train
-  *    the downstream model on the train split, return the task loss on the
-  *    validation split (Problem 1).
+  *    the downstream model (fast budget) on the train split, return the
+  *    task loss on the validation split (Problem 1).
   *  - [[proxyScore]]: the low-cost proxy (MI / Spearman between the feature
   *    and the label on train+valid rows, or a fast LR model) used by the
   *    warm-up phase and QTI; higher is better.
@@ -35,7 +35,6 @@ final class Evaluator(
     val split: Splits.Split,
     val proxy: ProxyKind = MIProxy,
     val seed: Long = 7L,
-    val fastModels: Boolean = true,
     /** Feature columns depend only on the query + dataset, so callers may
       * share one store across evaluators (model kinds, ablation variants)
       * to avoid re-running identical queries.
@@ -67,8 +66,7 @@ final class Evaluator(
   private lazy val proxyRows: Array[Int] = split.train ++ split.valid
 
   def realLoss(q: QuerySpec): Double = memo(lossCache, q) {
-    val data = withFeature(feature(q))
-    Models.splitLoss(modelKind, task, data, split.train, split.valid, seed, fastModels)
+    Models.splitLoss(modelKind, task, withFeature(feature(q)), split.train, split.valid, seed, fast = true)
   }
 
   def proxyScore(q: QuerySpec): Double = memo(proxyCache, q) {
@@ -80,18 +78,11 @@ final class Evaluator(
         Association.spearman(proxyRows.map(f), proxyRows.map(y))
       case LRProxy =>
         // Fast LR on base + candidate; score = negative validation loss.
-        val data = withFeature(f)
-        -Models.splitLoss(LRModel, task, data, split.train, split.valid, seed, fast = true)
+        -Models.splitLoss(LRModel, task, withFeature(f), split.train, split.valid, seed, fast = true)
     }
   }
 
-  /** Base matrix with one extra feature column appended. */
-  def withFeature(f: Array[Double]): DenseData =
-    DenseData(baseX.indices.map(i => baseX(i) :+ f(i)).toArray, y)
-
-  /** Base matrix with many extra feature columns appended. */
-  def withFeatures(fs: Seq[Array[Double]]): DenseData =
-    DenseData(baseX.indices.map(i => baseX(i) ++ fs.map(_(i))).toArray, y)
+  private def withFeature(f: Array[Double]): DenseData = DenseData.appendColumns(baseX, Seq(f), y)
 }
 
 /** A value computed on first use; concurrent first users wait for the one

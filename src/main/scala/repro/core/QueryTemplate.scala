@@ -14,11 +14,6 @@ final case class QueryTemplate(
   require(aggAttrs.nonEmpty, "template needs at least one aggregation attribute")
   require(keys.nonEmpty, "template needs at least one foreign-key attribute")
   require(predAttrs.distinct == predAttrs, s"duplicate predicate attrs in $predAttrs")
-
-  /** Canonical identity of the template inside a template set: P only
-    * (F/A/K are fixed per dataset, Definition 4 varies P).
-    */
-  def pKey: String = predAttrs.sorted.mkString(",")
 }
 
 object QueryTemplate {
@@ -60,16 +55,5 @@ final case class QuerySpec(
       s"${pr.attr}:${pr.eqValue.getOrElse("")}:${pr.lo.getOrElse("")}:${pr.hi.getOrElse("")}"
     }.mkString("&")
     s"${agg.name}(${aggAttr})|$p|${keys.mkString("+")}"
-  }
-
-  /** Human-readable SQL text of the query (for logs / EXPERIMENTS.md). */
-  def describe(table: String): String = {
-    val where = preds.filterNot(_.isEmpty).flatMap { p =>
-      p.eqValue.map(v => s"${p.attr} = '$v'").toList ++
-        p.lo.map(l => s"${p.attr} >= $l").toList ++
-        p.hi.map(h => s"${p.attr} <= $h").toList
-    }
-    val w = if (where.isEmpty) "" else where.mkString(" WHERE ", " AND ", "")
-    s"SELECT ${keys.mkString(", ")}, ${agg.name}($aggAttr) AS feature FROM $table$w GROUP BY ${keys.mkString(", ")}"
   }
 }

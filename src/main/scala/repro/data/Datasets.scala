@@ -21,7 +21,6 @@ final case class TaskDef(
     aggFuncs: Vector[AggFunc],
     aggAttrs: Vector[String],
     predAttrs: Vector[String],
-    oneToOne: Boolean = false,
 ) {
   /** Relevant-table numeric columns joinable directly (ARDA/AutoFeature
     * candidates in the one-to-one scenario).
@@ -272,8 +271,7 @@ object Datasets {
       baseFeatures = (1 to 12).map(i => s"f$i").toVector, "label", MultiClassification(4),
       AggFunc.all,
       aggAttrs = (1 to 12).map(i => s"f$i").toVector,
-      predAttrs = (1 to 10).map(i => s"f$i").toVector,
-      oneToOne = true)
+      predAttrs = (1 to 10).map(i => s"f$i").toVector)
   }
 
   /** Household-lite — multi-class one-to-one: the training table keeps 5
@@ -307,8 +305,7 @@ object Datasets {
       baseFeatures = (1 to 5).map(i => s"b$i").toVector, "label", MultiClassification(4),
       AggFunc.all,
       aggAttrs = (1 to 12).map(i => s"r$i").toVector,
-      predAttrs = ((1 to 8).map(i => s"r$i") ++ Seq("c1", "c2")).toVector,
-      oneToOne = true)
+      predAttrs = ((1 to 8).map(i => s"r$i") ++ Seq("c1", "c2")).toVector)
   }
 
   /** The four one-to-many datasets of Table I / III / VII / VIII. */

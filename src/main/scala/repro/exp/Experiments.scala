@@ -3,6 +3,7 @@ package repro.exp
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{AutoFeature, FeatureSelectors}
+import repro.baselines.FeatureSelectors.{BackwardSel, ForwardSel}
 import repro.core.{FeatAugConfig, SearchBudget}
 import repro.data.Datasets
 import repro.ml._
@@ -37,8 +38,9 @@ object Experiments {
 
 /** Drivers reproducing each table of the paper's evaluation section.
   * Shared by the bench suites (`bench/`) and the spark-submit jobs
-  * (`jobs/`). FeatAug(Full, MI) runs are cached and reused across
-  * Tables III, VII and VIII, exactly like the paper reuses its main runs.
+  * (`jobs/`). Every method run is memoized; a FeatAug run is keyed by its
+  * [[FeatAugConfig]], so Tables III, VII and VIII share one FeatAug(Full, MI)
+  * run per dataset and model, exactly like the paper reuses its main runs.
   */
 final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudget) {
   // Small aggregate results at this scale: fewer shuffle partitions keep
@@ -51,32 +53,49 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
   val oneToManyModels: Vector[ModelKind] = Vector(LRModel, XGBModel, RFModel, DeepFMModel)
   val oneToOneModels: Vector[ModelKind] = Vector(LRModel, XGBModel, RFModel)
 
-  private val cache = mutable.HashMap.empty[(String, String, String), Double]
+  /** FeatAug(Full) with the MI proxy; the ablations and proxy sweep vary it. */
+  private val full: FeatAugConfig = FeatAugConfig(budget = budget, seed = 11)
 
-  private def cached(p: Prepared, mk: ModelKind, variant: String)(body: => Double): Double =
-    cache.getOrElseUpdate((p.td.name, mk.name, variant), timed(s"${p.td.name}/${mk.name}/$variant")(body))
+  /** A compared method: its row label and its result on (dataset, model),
+    * None where it does not apply to the task (the paper's blank cells).
+    */
+  private final class Method(val label: String, val result: (Prepared, ModelKind) => Option[Double])
 
-  private def timed(tag: String)(body: => Double): Double = {
-    val t0 = System.nanoTime()
-    val v = body
-    Console.err.println(f"[exp] $tag%-40s -> $v%.4f  (${(System.nanoTime() - t0) / 1e9}%.1f s)")
-    v
-  }
+  /** Results by (dataset, model, method key): a baseline's label or a FeatAugConfig. */
+  private val runs = mutable.HashMap.empty[(String, ModelKind, Any), Option[Double]]
 
-  def featAug(p: Prepared, mk: ModelKind, variant: String): Double = {
-    val cfg = variant match {
-      case "Full"  => FeatAugConfig(budget = budget, seed = 11)
-      case "NoQTI" => FeatAugConfig(useQTI = false, budget = budget, seed = 11)
-      case "NoWU"  => FeatAugConfig(useWarmup = false, budget = budget, seed = 11)
-      case "SC"    => FeatAugConfig(proxy = SCProxy, budget = budget, seed = 11)
-      case "LRpx"  => FeatAugConfig(proxy = LRProxy, budget = budget, seed = 11)
-      case other   => throw new IllegalArgumentException(s"unknown variant $other")
-    }
-    cached(p, mk, s"FeatAug-$variant")(Methods.runFeatAug(p, mk, cfg)._1)
-  }
+  private def memo(key: Any, label: String)(run: (Prepared, ModelKind) => Option[Double]): Method =
+    new Method(label, (p, mk) => runs.getOrElseUpdate((p.td.name, mk, key), {
+      val t0 = System.nanoTime()
+      val v = run(p, mk)
+      val tag = s"${p.td.name}/${mk.name}/$label"
+      Console.err.println(f"[exp] $tag%-40s -> ${fmtOpt(v)}  (${(System.nanoTime() - t0) / 1e9}%.1f s)")
+      v
+    }))
 
-  private def fmt(v: Double): String = f"$v%.4f"
-  private def fmtOpt(v: Option[Double]): String = v.map(fmt).getOrElse("-")
+  private def baseline(label: String)(run: (Prepared, ModelKind) => Double): Method =
+    memo(label, label)((p, mk) => Some(run(p, mk)))
+
+  /** FeatAug under `config`, listed as `label`. */
+  private def featAug(label: String, config: FeatAugConfig): Method =
+    memo(config, label)((p, mk) => Some(Methods.runFeatAug(p, mk, config)._1))
+
+  private def selectors(sels: Vector[FeatureSelectors.Selector]): Vector[Method] =
+    sels.map(sel => memo(sel.name, sel.name)(Methods.runFTSelector(_, _, sel)))
+
+  private val ft = baseline("FT")(Methods.runFT)
+  private val random = baseline("Random")(Methods.runRandom(_, _))
+
+  private def fmtOpt(v: Option[Double]): String = v.fold("-")(x => f"$x%.4f")
+
+  /** One row per (model, method): the model, the method's label, then one
+    * cell per dataset.
+    */
+  private def methodTable(title: String, ps: Vector[Prepared], models: Vector[ModelKind],
+                          column: String, methods: Vector[Method]): ResultTable = ResultTable(
+    title,
+    Vector("Model", column) ++ ps.map(_.td.name),
+    for (mk <- models; m <- methods) yield Vector(mk.name, m.label) ++ ps.map(p => fmtOpt(m.result(p, mk))))
 
   /** Table I: one-to-many dataset statistics. */
   def tableI: ResultTable = ResultTable(
@@ -88,7 +107,13 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
     })
 
   /** Table II: query template configuration per dataset. */
-  def tableII: ResultTable = templateTable("Table II: query templates (one-to-many)", oneToMany)
+  def tableII: ResultTable = ResultTable(
+    "Table II: query templates (one-to-many)",
+    Vector("Dataset", "|F|", "# of A", "# of attr", "K", "# of T"),
+    oneToMany.map { p =>
+      Vector(p.td.name, p.td.aggFuncs.size.toString, p.td.aggAttrs.size.toString,
+        p.td.predAttrs.size.toString, p.td.keys.mkString("+"), s"2^${p.td.predAttrs.size}")
+    })
 
   /** Table IV+V: single-table / one-to-one dataset + template statistics. */
   def tableIVV: ResultTable = ResultTable(
@@ -101,85 +126,45 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
         p.td.keys.mkString("+"), s"2^${p.td.predAttrs.size}")
     })
 
-  private def templateTable(title: String, ps: Vector[Prepared]): ResultTable = ResultTable(
-    title,
-    Vector("Dataset", "|F|", "# of A", "# of attr", "K", "# of T"),
-    ps.map { p =>
-      Vector(p.td.name, p.td.aggFuncs.size.toString, p.td.aggAttrs.size.toString,
-        p.td.predAttrs.size.toString, p.td.keys.mkString("+"), s"2^${p.td.predAttrs.size}")
-    })
-
   /** Table III: main one-to-many comparison (4 datasets x 4 models x 10 methods). */
-  def tableIII: ResultTable = {
-    val methods: Vector[(String, (Prepared, ModelKind) => Option[String])] =
-      Vector[(String, (Prepared, ModelKind) => Option[String])](
-        ("FT", (p, mk) => Some(fmt(cached(p, mk, "FT")(Methods.runFT(p, mk))))),
-      ) ++ FeatureSelectors.all.map { sel =>
-        (sel.name, (p: Prepared, mk: ModelKind) =>
-          Some(fmtOpt(if (!FeatureSelectors.supports(sel, p.td.task)) None
-          else Some(cached(p, mk, sel.name)(Methods.runFTSelector(p, mk, sel).get)))))
-      } ++ Vector[(String, (Prepared, ModelKind) => Option[String])](
-        ("Random", (p, mk) => Some(fmt(cached(p, mk, "Random")(Methods.runRandom(p, mk))))),
-        ("FeatAug", (p, mk) => Some(fmt(featAug(p, mk, "Full")))),
-      )
-    ResultTable(
-      "Table III: one-to-many results (AUC up for Tmall/Instacart/Student, RMSE down for Merchant)",
-      Vector("Model", "Method") ++ oneToMany.map(_.td.name),
-      for {
-        mk <- oneToManyModels
-        (name, f) <- methods
-      } yield Vector(mk.name, name) ++ oneToMany.map(p => f(p, mk).getOrElse("-")))
-  }
+  def tableIII: ResultTable = methodTable(
+    "Table III: one-to-many results (AUC up for Tmall/Instacart/Student, RMSE down for Merchant)",
+    oneToMany, oneToManyModels, "Method",
+    ft +: selectors(FeatureSelectors.all) :+ random :+ featAug("FeatAug", full))
 
-  /** Table VI: single-table / one-to-one comparison (F1 up). */
-  def tableVI: ResultTable = {
-    val selectors = FeatureSelectors.all.filterNot(s =>
-      s == FeatureSelectors.ForwardSel || s == FeatureSelectors.BackwardSel) // paper: blank cells
-    val rows = for {
-      mk <- oneToOneModels
-      row <- {
-        val ft = Vector(("FT", (p: Prepared) => Some(cached(p, mk, "FT")(Methods.runFT(p, mk)))))
-        val sels = selectors.map(sel => (sel.name, (p: Prepared) =>
-          if (!FeatureSelectors.supports(sel, p.td.task)) None
-          else Some(cached(p, mk, sel.name)(Methods.runFTSelector(p, mk, sel).get))))
-        val extra = Vector(
-          ("ARDA", (p: Prepared) => Some(cached(p, mk, "ARDA")(Methods.runARDA(p, mk)))),
-          ("AutoFeat-MAB", (p: Prepared) =>
-            Some(cached(p, mk, "MAB")(Methods.runAutoFeature(p, mk, AutoFeature.MAB)))),
-          ("AutoFeat-DQN", (p: Prepared) =>
-            Some(cached(p, mk, "DQN")(Methods.runAutoFeature(p, mk, AutoFeature.DQN)))),
-          ("Random", (p: Prepared) => Some(cached(p, mk, "Random")(Methods.runRandom(p, mk)))),
-          ("FeatAug", (p: Prepared) => Some(featAug(p, mk, "Full"))),
-        )
-        (ft ++ sels ++ extra).map { case (name, f) =>
-          Vector(mk.name, name) ++ oneToOne.map(p => fmtOpt(f(p)))
-        }
-      }
-    } yield row
-    ResultTable("Table VI: single-table / one-to-one results (macro F1 up)",
-      Vector("Model", "Method") ++ oneToOne.map(_.td.name), rows)
-  }
+  /** Table VI: single-table / one-to-one comparison (F1 up). The paper
+    * leaves the forward/backward selector cells blank.
+    */
+  def tableVI: ResultTable = methodTable(
+    "Table VI: single-table / one-to-one results (macro F1 up)",
+    oneToOne, oneToOneModels, "Method",
+    (ft +: selectors(FeatureSelectors.all.filterNot(Set(ForwardSel, BackwardSel)))) ++ Vector(
+      baseline("ARDA")(Methods.runARDA(_, _)),
+      baseline("AutoFeat-MAB")(Methods.runAutoFeature(_, _, AutoFeature.MAB)),
+      baseline("AutoFeat-DQN")(Methods.runAutoFeature(_, _, AutoFeature.DQN)),
+      random, featAug("FeatAug", full)))
 
   /** Table VII: ablation (NoQTI / NoWU / Full). */
-  def tableVII: ResultTable = ResultTable(
+  def tableVII: ResultTable = methodTable(
     "Table VII: ablation of QTI and warm-up",
-    Vector("Model", "Variant") ++ oneToMany.map(_.td.name),
-    for {
-      mk <- oneToManyModels
-      variant <- Vector("NoQTI", "NoWU", "Full")
-    } yield Vector(mk.name, s"FeatAug($variant)") ++ oneToMany.map(p => fmt(featAug(p, mk, variant))))
+    oneToMany, oneToManyModels, "Variant",
+    Vector(
+      featAug("FeatAug(NoQTI)", full.copy(useQTI = false)),
+      featAug("FeatAug(NoWU)", full.copy(useWarmup = false)),
+      featAug("FeatAug(Full)", full)))
 
   /** Table VIII: low-cost proxy sweep (SC / MI / LR). */
-  def tableVIII: ResultTable = ResultTable(
-    "Table VIII: FeatAug by low-cost proxy",
-    Vector("Dataset", "Metric") ++ (for (mk <- oneToManyModels; px <- Vector("SC", "MI", "LR")) yield s"${mk.name}-$px"),
-    oneToMany.map { p =>
-      val metricName = p.td.task match {
-        case Regression => "RMSE v"; case _ => "AUC ^"
-      }
-      Vector(p.td.name, metricName) ++ (for {
-        mk <- oneToManyModels
-        variant <- Vector("SC", "Full", "LRpx")
-      } yield fmt(featAug(p, mk, variant)))
-    })
+  def tableVIII: ResultTable = {
+    val proxies = Vector(
+      featAug("SC", full.copy(proxy = SCProxy)), featAug("MI", full), featAug("LR", full.copy(proxy = LRProxy)))
+    ResultTable(
+      "Table VIII: FeatAug by low-cost proxy",
+      Vector("Dataset", "Metric") ++ (for (mk <- oneToManyModels; m <- proxies) yield s"${mk.name}-${m.label}"),
+      oneToMany.map { p =>
+        val metricName = p.td.task match {
+          case Regression => "RMSE v"; case _ => "AUC ^"
+        }
+        Vector(p.td.name, metricName) ++ (for (mk <- oneToManyModels; m <- proxies) yield fmtOpt(m.result(p, mk)))
+      })
+  }
 }

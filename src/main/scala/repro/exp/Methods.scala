@@ -13,10 +13,8 @@ import repro.proxy.MIProxy
 object Methods {
 
   /** Plain Featuretools: first k candidates in enumeration order. */
-  def runFT(p: Prepared, mk: ModelKind): Double = {
-    val feats = Featuretools.firstK(p.ftCandidates, p.budget.numFeatures).map(_.values)
-    p.finalMetric(mk, feats)
-  }
+  def runFT(p: Prepared, mk: ModelKind): Double =
+    p.finalMetric(mk, p.ftCandidates.take(p.budget.numFeatures).map(_.values))
 
   /** Featuretools + a selector; None when the selector doesn't apply to
     * the task (Chi2/Gini on regression — the paper's blank cells).

@@ -36,14 +36,12 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
   def codec(p: Vector[String]): QueryVectorCodec = new QueryVectorCodec(template(p), domains)
 
   def evaluator(modelKind: ModelKind, proxy: ProxyKind, seed: Long): Evaluator =
-    new Evaluator(executor, baseX, y, td.task, modelKind, split, proxy, seed,
-      fastModels = true, featureStore = featureStore)
+    new Evaluator(executor, baseX, y, td.task, modelKind, split, proxy, seed, featureStore = featureStore)
 
   /** The full Featuretools candidate pool (predicate-free agg queries). */
   lazy val ftCandidates: Vector[CandidateFeature] =
     Featuretools.candidateSpecs(template(Vector.empty)).map { q =>
-      CandidateFeature(s"${q.agg.name}_${q.aggAttr}", q,
-        featureStore.getOrElseUpdate(q.cacheKey, executor.featureValues(q)))
+      CandidateFeature(s"${q.agg.name}_${q.aggAttr}", q, feature(q))
     }
 
   /** Direct-join candidates (each relevant column as-is, via a one-to-one
@@ -52,20 +50,22 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
   lazy val directCandidates: Vector[CandidateFeature] =
     td.directJoinAttrs.map { a =>
       val q = QuerySpec(AggFunc.Avg, a, Vector.empty, td.keys)
-      CandidateFeature(s"direct_$a", q,
-        featureStore.getOrElseUpdate(q.cacheKey, executor.featureValues(q)))
+      CandidateFeature(s"direct_$a", q, feature(q))
     }
 
-  /** Materialize a query's feature through the shared store. */
-  def feature(q: QuerySpec): Array[Double] =
+  /** Materialize a query's feature through the shared store, holding the
+    * store's monitor as [[Evaluator.feature]] does (DESIGN.md §5).
+    */
+  def feature(q: QuerySpec): Array[Double] = featureStore.synchronized {
     featureStore.getOrElseUpdate(q.cacheKey, executor.featureValues(q))
+  }
 
   /** Test-split metric of the full-budget model over base + features.
     * (Search never sees the test split.)
     */
   def finalMetric(modelKind: ModelKind, features: Seq[Array[Double]], seed: Long = 7L): Double = {
-    val data = DenseData(baseX.indices.map(i => baseX(i) ++ features.map(_(i))).toArray, y)
-    Models.splitMetric(modelKind, td.task, data, split.train, split.test, seed, fast = false)
+    Models.splitMetric(modelKind, td.task, DenseData.appendColumns(baseX, features, y),
+      split.train, split.test, seed, fast = false)
   }
 
   private def num(v: Any): Double = v match {

@@ -14,12 +14,6 @@ final case class ParamSpace(dims: Vector[Dim]) {
   require(dims.nonEmpty, "empty search space")
   require(dims.forall(_.size >= 1), "every dimension needs >= 1 value")
 
-  def numDims: Int = dims.length
-
-  /** Total points in the space (capped at Long.MaxValue on overflow). */
-  def cardinality: Long =
-    dims.foldLeft(1L)((acc, d) => if (acc > Long.MaxValue / d.size) Long.MaxValue else acc * d.size)
-
   def randomPoint(rnd: Random): Vector[Int] = dims.map(d => rnd.nextInt(d.size))
 
   def contains(p: Vector[Int]): Boolean =

@@ -2,8 +2,8 @@ package repro.ml
 
 import scala.util.Random
 
-/** A trained model: maps a feature row to per-task scores
-  * (see [[Task.numScores]]).
+/** A trained model: maps a feature row to per-task scores (one per class
+  * for [[MultiClassification]], else one).
   */
 trait Predictor {
   def scores(x: Array[Double]): Array[Double]

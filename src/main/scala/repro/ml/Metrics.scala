@@ -61,16 +61,6 @@ object Metrics {
     math.sqrt(y.indices.iterator.map(i => { val d = y(i) - pred(i); d * d }).sum / y.length)
   }
 
-  /** Binary cross-entropy with probability clipping. */
-  def logLoss(y: Array[Double], p: Array[Double]): Double = {
-    require(y.length == p.length && y.nonEmpty, "need non-empty equal-length arrays")
-    val eps = 1e-12
-    -y.indices.iterator.map { i =>
-      val pi = math.min(1 - eps, math.max(eps, p(i)))
-      y(i) * math.log(pi) + (1 - y(i)) * math.log(1 - pi)
-    }.sum / y.length
-  }
-
   /** The metric the paper reports for a task (higher-is-better noted by caller). */
   def taskMetric(task: Task, y: Array[Double], scores: Array[Array[Double]]): Double = task match {
     case BinaryClassification => auc(y, scores.map(_(0)))

@@ -9,20 +9,10 @@ case object XGBModel extends ModelKind { val name = "XGB" }
 case object RFModel extends ModelKind { val name = "RF" }
 case object DeepFMModel extends ModelKind { val name = "DeepFM" }
 
-object ModelKind {
-  val all: Vector[ModelKind] = Vector(LRModel, XGBModel, RFModel, DeepFMModel)
-  /** DeepFM is binary/regression only (paper: "DeepFM only works for binary
-    * classification tasks"; Table III also uses it for Merchant regression).
-    */
-  def supports(kind: ModelKind, task: Task): Boolean = (kind, task) match {
-    case (DeepFMModel, MultiClassification(_)) => false
-    case _                                     => true
-  }
-}
-
-/** Model factory. `fast = true` trims budgets for the inner loops of the
-  * forward/backward selectors and RL baselines, which fit thousands of
-  * models; search and final evaluations use full budgets.
+/** Model factory. `fast = true` trims budgets for the loops that fit
+  * hundreds or thousands of models: the FeatAug search, the
+  * forward/backward selectors and the RL baselines. Final test-split
+  * evaluations use full budgets.
   */
 object Models {
   def trainer(kind: ModelKind, task: Task, seed: Long = 7L, fast: Boolean = false): Trainer =

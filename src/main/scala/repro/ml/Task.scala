@@ -7,22 +7,20 @@ package repro.ml
   * the model head (sigmoid / softmax / identity) and the loss reported by
   * [[Metrics.taskLoss]].
   */
-sealed trait Task {
-  /** Number of output scores a predictor emits per row. */
-  def numScores: Int
-}
+sealed trait Task
 
 /** Binary classification; predictors emit P(y = 1). */
-case object BinaryClassification extends Task { val numScores = 1 }
+case object BinaryClassification extends Task
 
-/** Multi-class classification with `numClasses` labels in 0..numClasses-1. */
+/** Multi-class classification with `numClasses` labels in 0..numClasses-1;
+  * predictors emit one score per class.
+  */
 final case class MultiClassification(numClasses: Int) extends Task {
   require(numClasses >= 2, s"need >= 2 classes, got $numClasses")
-  val numScores: Int = numClasses
 }
 
 /** Real-valued regression; predictors emit the predicted value. */
-case object Regression extends Task { val numScores = 1 }
+case object Regression extends Task
 
 /** A dense supervised dataset held on the driver.
   *
@@ -36,6 +34,23 @@ final case class DenseData(x: Array[Array[Double]], y: Array[Double]) {
   def numRows: Int = x.length
   def numCols: Int = if (x.isEmpty) 0 else x(0).length
   def select(idx: Array[Int]): DenseData = DenseData(idx.map(x), idx.map(y))
+}
+
+object DenseData {
+  /** The base matrix with feature columns appended: row i is `base(i)`
+    * followed by each column's i-th value, in column order. Each row is one
+    * array copy, so the one-column call of the search loop allocates
+    * nothing else per row.
+    */
+  def appendColumns(base: Array[Array[Double]], columns: Seq[Array[Double]], y: Array[Double]): DenseData = {
+    val cols = columns.toArray
+    DenseData(Array.tabulate(base.length) { i =>
+      val row = java.util.Arrays.copyOf(base(i), base(i).length + cols.length)
+      var j = 0
+      while (j < cols.length) { row(base(i).length + j) = cols(j)(i); j += 1 }
+      row
+    }, y)
+  }
 }
 
 /** Per-column standardization (mean 0, stddev 1) fit on train rows only. */

@@ -24,20 +24,15 @@ class BaselinesSpec extends SparkSpec with MiniData {
   }
 
   test("Featuretools materializes aligned feature columns through Spark") {
-    val feats = Featuretools.generate(executor, template)
-    assert(feats.forall(_.values.length == nUsers))
-    val sumAmt = feats.find(_.name == "SUM_amt").get
+    val specs = Featuretools.candidateSpecs(template)
+    val feats = specs.map(executor.featureValues)
+    assert(feats.forall(_.length == nUsers))
+    val sumAmt = feats(specs.indexWhere(q => q.agg == AggFunc.Sum && q.aggAttr == "amt"))
     // compare against hand-computed per-user sums
     val expect = relevantRows.groupBy(_._1).view.mapValues(_.map(_._3).sum).toMap
     trainRows.zipWithIndex.foreach { case ((u, _, _), i) =>
-      assert(math.abs(sumAmt.values(i) - expect.getOrElse(u, 0.0)) < 1e-6)
+      assert(math.abs(sumAmt(i) - expect.getOrElse(u, 0.0)) < 1e-6)
     }
-  }
-
-  test("firstK truncates in enumeration order") {
-    val feats = Featuretools.generate(executor, template)
-    assert(Featuretools.firstK(feats, 3) == feats.take(3))
-    assert(Featuretools.firstK(feats, 1000) == feats)
   }
 
   // A synthetic candidate pool with one planted signal feature.

@@ -110,14 +110,9 @@ class AggregatesSpec extends SparkSpec {
     assert(ex.featureDf(q).collect()(0).getDouble(1) == 1.0)
   }
 
-  test("AggFunc.byName resolves every function and rejects unknowns") {
-    AggFunc.all.foreach(a => assert(AggFunc.byName(a.name) eq a))
-    intercept[IllegalArgumentException](AggFunc.byName("NOPE"))
-  }
-
   test("the full function set has the paper's 15 members, basic has 5") {
     assert(AggFunc.all.size == 15)
-    assert(AggFunc.basic.size == 5)
+    assert(MiniData.basic.size == 5 && MiniData.basic.forall(AggFunc.all.contains))
     assert(AggFunc.all.map(_.name).distinct.size == 15)
   }
 }

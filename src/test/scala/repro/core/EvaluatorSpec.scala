@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.ml.{BinaryClassification, LRModel, Splits}
+import repro.ml.{BinaryClassification, DenseData, LRModel, Models, Splits}
 import repro.proxy.{LRProxy, MIProxy, SCProxy}
 
 class EvaluatorSpec extends SparkSpec with MiniData {
@@ -47,11 +47,11 @@ class EvaluatorSpec extends SparkSpec with MiniData {
   test("a shared feature store is reused across evaluators") {
     val store = scala.collection.mutable.HashMap.empty[String, Array[Double]]
     val ev1 = new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split,
-      MIProxy, 7, fastModels = true, featureStore = store)
+      MIProxy, 7, featureStore = store)
     ev1.realLoss(signalQuery)
     val before = store.size
     val ev2 = new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split,
-      SCProxy, 8, fastModels = true, featureStore = store)
+      SCProxy, 8, featureStore = store)
     ev2.proxyScore(signalQuery)
     assert(store.size == before) // no re-execution
   }
@@ -59,7 +59,7 @@ class EvaluatorSpec extends SparkSpec with MiniData {
   test("queryExecutions counts only the executions of this evaluator") {
     val store = scala.collection.mutable.HashMap.empty[String, Array[Double]]
     def shared() = new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split,
-      MIProxy, 7, fastModels = true, featureStore = store)
+      MIProxy, 7, featureStore = store)
     val ev1 = shared()
     ev1.proxyScore(signalQuery)
     val ev2 = shared()
@@ -97,7 +97,7 @@ class EvaluatorSpec extends SparkSpec with MiniData {
     } yield QuerySpec(agg, "amt", Vector(Predicate("cat", Some(cat), None, None)), Vector("uid"))
     val store = new CountingStore
     val ev = new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split,
-      MIProxy, 7, fastModels = true, featureStore = store)
+      MIProxy, 7, featureStore = store)
     val threads = 8
     val start = new java.util.concurrent.CountDownLatch(1)
     val pool = java.util.concurrent.Executors.newFixedThreadPool(threads)
@@ -130,11 +130,20 @@ class EvaluatorSpec extends SparkSpec with MiniData {
     results.foreach { case (key, loss, proxy) => assert((loss, proxy) == expected(key), key) }
   }
 
-  test("withFeature / withFeatures append the expected number of columns") {
+  test("appendColumns rows are base row ++ columns; realLoss fits them") {
     val ev = mkEvaluator()
-    val f = ev.feature(signalQuery)
-    assert(ev.withFeature(f).numCols == baseX(0).length + 1)
-    assert(ev.withFeatures(Seq(f, f, f)).numCols == baseX(0).length + 3)
+    val cols = Seq(ev.feature(signalQuery), ev.feature(noiseQuery), ev.feature(signalQuery).map(-_))
+    def bits(r: Array[Double]) = r.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    for (k <- 0 to cols.size) {
+      val data = DenseData.appendColumns(baseX, cols.take(k), yArr)
+      assert(data.y.sameElements(yArr))
+      assert(data.numRows == baseX.length)
+      baseX.indices.foreach(i => assert(bits(data.x(i)) == bits(baseX(i) ++ cols.take(k).map(_(i))), s"k=$k row $i"))
+    }
+    val oneColumn = DenseData.appendColumns(baseX, cols.take(1), yArr)
+    val expected = Models.splitLoss(LRModel, BinaryClassification, oneColumn, split.train, split.valid, 7, fast = true)
+    assert(java.lang.Double.doubleToRawLongBits(ev.realLoss(signalQuery)) ==
+      java.lang.Double.doubleToRawLongBits(expected))
   }
 
   test("real losses are valid task losses (within [0, 1] for AUC)") {

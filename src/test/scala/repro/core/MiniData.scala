@@ -58,11 +58,16 @@ trait MiniData { self: SparkSpec =>
     SearchSpace.domains(relevant, Seq("cat", "t"), maxCats = 6, numQuantiles = 5)
 
   lazy val template: QueryTemplate =
-    QueryTemplate(AggFunc.basic, Vector("amt", "t"), Vector("cat", "t"), Vector("uid"))
+    QueryTemplate(MiniData.basic, Vector("amt", "t"), Vector("cat", "t"), Vector("uid"))
 
   lazy val codec = new QueryVectorCodec(template, domains)
 
   lazy val baseX: Array[Array[Double]] = trainRows.map(r => Array(r._2)).toArray
   lazy val yArr: Array[Double] = trainRows.map(_._3.toDouble).toArray
   lazy val split: Splits.Split = Splits.threeWay(nUsers, 42)
+}
+
+object MiniData {
+  /** A cheap aggregation-function subset for small templates. */
+  val basic: Vector[AggFunc] = Vector(AggFunc.Sum, AggFunc.Min, AggFunc.Max, AggFunc.Count, AggFunc.Avg)
 }

@@ -5,23 +5,17 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Pure-model tests for templates, predicates and query specs. */
 class QueryModelSpec extends AnyFunSuite {
 
-  private val t = QueryTemplate(AggFunc.basic, Vector("amt"), Vector("cat", "t"), Vector("uid"))
+  private val t = QueryTemplate(MiniData.basic, Vector("amt"), Vector("cat", "t"), Vector("uid"))
 
   test("template validation rejects empty function/attr/key sets") {
     intercept[IllegalArgumentException](QueryTemplate(Vector.empty, Vector("a"), Vector.empty, Vector("k")))
-    intercept[IllegalArgumentException](QueryTemplate(AggFunc.basic, Vector.empty, Vector.empty, Vector("k")))
-    intercept[IllegalArgumentException](QueryTemplate(AggFunc.basic, Vector("a"), Vector.empty, Vector.empty))
+    intercept[IllegalArgumentException](QueryTemplate(MiniData.basic, Vector.empty, Vector.empty, Vector("k")))
+    intercept[IllegalArgumentException](QueryTemplate(MiniData.basic, Vector("a"), Vector.empty, Vector.empty))
   }
 
   test("template validation rejects duplicate predicate attributes") {
     intercept[IllegalArgumentException](
-      QueryTemplate(AggFunc.basic, Vector("a"), Vector("p", "p"), Vector("k")))
-  }
-
-  test("pKey is order-insensitive (identifies the attribute set)") {
-    val a = t.copy(predAttrs = Vector("x", "y"))
-    val b = t.copy(predAttrs = Vector("y", "x"))
-    assert(a.pKey == b.pKey)
+      QueryTemplate(MiniData.basic, Vector("a"), Vector("p", "p"), Vector("k")))
   }
 
   test("one-hot encoding marks exactly the P attributes") {
@@ -57,19 +51,6 @@ class QueryModelSpec extends AnyFunSuite {
     assert(base.cacheKey != base.copy(agg = AggFunc.Avg).cacheKey)
     assert(base.cacheKey != base.copy(aggAttr = "t").cacheKey)
     assert(base.cacheKey != base.copy(keys = Vector("uid", "mid")).cacheKey)
-  }
-
-  test("describe renders a complete predicate-aware SQL string") {
-    val q = QuerySpec(AggFunc.Avg, "amt",
-      Vector(Predicate("cat", Some("A"), None, None), Predicate("t", None, Some(1.0), Some(5.0))),
-      Vector("uid"))
-    val sql = q.describe("logs")
-    assert(sql == "SELECT uid, AVG(amt) AS feature FROM logs WHERE cat = 'A' AND t >= 1.0 AND t <= 5.0 GROUP BY uid")
-  }
-
-  test("describe omits WHERE when all predicates are empty") {
-    val q = QuerySpec(AggFunc.Count, "amt", Vector(Predicate("cat", None, None, None)), Vector("uid"))
-    assert(!q.describe("logs").contains("WHERE"))
   }
 
   test("query spec requires at least one key") {

@@ -36,7 +36,6 @@ class DatasetsSpec extends SparkSpec {
   test("one-to-one datasets have exactly one relevant row per training row") {
     Datasets.oneToOne(spark, sf).foreach { td =>
       assert(td.relevant.count() == td.train.count(), td.name)
-      assert(td.oneToOne)
     }
   }
 

@@ -18,15 +18,6 @@ class TPESpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException](ParamSpace(Vector(Dim("x", 0))))
   }
 
-  test("ParamSpace cardinality multiplies dimension sizes") {
-    assert(space.cardinality == 500L)
-  }
-
-  test("ParamSpace cardinality saturates instead of overflowing") {
-    val huge = ParamSpace(Vector.fill(50)(Dim("d", 1000)))
-    assert(huge.cardinality == Long.MaxValue)
-  }
-
   test("random points are always inside the space") {
     val rnd = new Random(0)
     (1 to 100).foreach(_ => assert(space.contains(space.randomPoint(rnd))))

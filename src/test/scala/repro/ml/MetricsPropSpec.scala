@@ -46,8 +46,4 @@ class MetricsPropSpec extends AnyFunSuite with PropSupport {
       f1 >= 0.0 && f1 <= 1.0
     })
   }
-
-  test("log loss is non-negative") {
-    check(Prop.forAll(labeled) { case (y, s) => Metrics.logLoss(y, s) >= 0.0 })
-  }
 }

@@ -63,15 +63,6 @@ class MetricsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Metrics.rmse(Array.empty, Array.empty))
   }
 
-  test("log loss is small for confident correct predictions") {
-    assert(Metrics.logLoss(Array(1.0, 0.0), Array(0.99, 0.01)) < 0.02)
-  }
-
-  test("log loss clips probabilities instead of exploding") {
-    val ll = Metrics.logLoss(Array(1.0), Array(0.0))
-    assert(ll.isFinite && ll > 20)
-  }
-
   test("taskMetric dispatches AUC for binary tasks") {
     val m = Metrics.taskMetric(BinaryClassification, Array(0, 1), Array(Array(0.2), Array(0.8)))
     assert(m == 1.0)

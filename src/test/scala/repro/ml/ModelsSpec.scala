@@ -5,6 +5,8 @@ import scala.util.Random
 
 class ModelsSpec extends AnyFunSuite {
 
+  private val kinds = Vector(LRModel, XGBModel, RFModel, DeepFMModel)
+
   private def binaryData(n: Int): DenseData = {
     val rnd = new Random(1)
     val x = Array.fill(n)(Array(rnd.nextGaussian(), rnd.nextGaussian()))
@@ -12,7 +14,7 @@ class ModelsSpec extends AnyFunSuite {
   }
 
   test("factory builds every model kind for binary tasks") {
-    ModelKind.all.foreach { mk =>
+    kinds.foreach { mk =>
       val t = Models.trainer(mk, BinaryClassification)
       assert(t != null, mk.name)
     }
@@ -20,13 +22,6 @@ class ModelsSpec extends AnyFunSuite {
 
   test("factory uses ridge regression for LR on regression tasks") {
     assert(Models.trainer(LRModel, Regression).isInstanceOf[RidgeRegressionTrainer])
-  }
-
-  test("model support matrix excludes DeepFM on multi-class only") {
-    assert(!ModelKind.supports(DeepFMModel, MultiClassification(4)))
-    assert(ModelKind.supports(DeepFMModel, BinaryClassification))
-    assert(ModelKind.supports(DeepFMModel, Regression))
-    assert(ModelKind.supports(RFModel, MultiClassification(4)))
   }
 
   test("splitLoss + splitMetric are consistent (loss = 1 - metric for AUC)") {
@@ -40,7 +35,7 @@ class ModelsSpec extends AnyFunSuite {
   test("splitLoss is low on separable data for every model kind") {
     val d = binaryData(300)
     val tr = Array.range(0, 180); val ev = Array.range(180, 300)
-    ModelKind.all.foreach { mk =>
+    kinds.foreach { mk =>
       val loss = Models.splitLoss(mk, BinaryClassification, d, tr, ev)
       assert(loss < 0.2, s"${mk.name} loss $loss")
     }
