@@ -3,58 +3,30 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp.Experiments
 
-/** Shared bootstrap for the spark-submit entrypoints: one local session,
-  * bench-scale SF=0.1 data and the bench search budget (override with
-  * `--sf <x>` as the first two args).
+/** Renders paper tables to standard output, one blank line apart:
+  * `RunTables [--sf x] [id ...]`. Ids are `I II III IV VI VII VIII` (IV
+  * also holds Table V); with none, every table in paper order. Data is
+  * bench-scale SF 0.1 unless `--sf` says otherwise, and the search runs on
+  * the bench budget. Progress and Spark logs go to standard error.
   */
-object Jobs {
-  def session(app: String): SparkSession =
-    SparkSession.builder
+object RunTables {
+  def main(args: Array[String]): Unit = {
+    val (sf, ids) = args.toList match {
+      case "--sf" :: v :: rest => (v.toDouble, rest)
+      case rest                => (0.1, rest)
+    }
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
-      .config("spark.sql.shuffle.partitions", "8")
+      .appName("tables")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
-
-  def sfFrom(args: Array[String], default: Double = 0.1): Double =
-    args.sliding(2).collectFirst { case Array("--sf", v) => v.toDouble }.getOrElse(default)
-
-  def experiments(app: String, args: Array[String]): Experiments =
-    new Experiments(session(app), sfFrom(args), Experiments.benchBudget)
-}
-
-/** Reproduces paper Table I (dataset statistics). */
-object RunTableI {
-  def main(args: Array[String]): Unit = println(Jobs.experiments("table1", args).tableI.render)
-}
-
-/** Reproduces paper Table II (query template configuration). */
-object RunTableII {
-  def main(args: Array[String]): Unit = println(Jobs.experiments("table2", args).tableII.render)
-}
-
-/** Reproduces paper Table III (main one-to-many comparison). */
-object RunTableIII {
-  def main(args: Array[String]): Unit = println(Jobs.experiments("table3", args).tableIII.render)
-}
-
-/** Reproduces paper Tables IV and V (Covtype/Household stats + templates). */
-object RunTableIV {
-  def main(args: Array[String]): Unit = println(Jobs.experiments("table45", args).tableIVV.render)
-}
-
-/** Reproduces paper Table VI (single-table / one-to-one comparison). */
-object RunTableVI {
-  def main(args: Array[String]): Unit = println(Jobs.experiments("table6", args).tableVI.render)
-}
-
-/** Reproduces paper Table VII (QTI / warm-up ablation). */
-object RunTableVII {
-  def main(args: Array[String]): Unit = println(Jobs.experiments("table7", args).tableVII.render)
-}
-
-/** Reproduces paper Table VIII (low-cost proxy sweep). */
-object RunTableVIII {
-  def main(args: Array[String]): Unit = println(Jobs.experiments("table8", args).tableVIII.render)
+    val exp = new Experiments(spark, sf, Experiments.benchBudget)
+    // An unknown id fails here, before any data is generated.
+    ids.filterNot(exp.tableIds.contains).foreach(exp.table)
+    (if (ids.isEmpty) exp.tableIds else ids).zipWithIndex.foreach { case (id, i) =>
+      if (i > 0) println()
+      println(exp.table(id).render)
+    }
+  }
 }

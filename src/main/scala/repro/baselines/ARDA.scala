@@ -35,12 +35,7 @@ object ARDA {
     // Importance from a bagged tree ensemble over indicator targets.
     val imp = new Array[Double](x(0).length)
     val ranks = RegressionTree.ranks(x)
-    val targets: Vector[Array[Double]] = task match {
-      case MultiClassification(c) =>
-        (0 until c).map(cl => yt.map(v => if (v.toInt == cl) 1.0 else 0.0)).toVector
-      case _ => Vector(yt)
-    }
-    targets.zipWithIndex.foreach { case (t, ti) =>
+    Task.headTargets(task, yt).zipWithIndex.foreach { case (t, ti) =>
       (0 until 8).foreach { b =>
         val bag = Array.fill(x.length)(rnd.nextInt(x.length))
         val tree = new RegressionTree(maxDepth = 4, minSamplesLeaf = 4,

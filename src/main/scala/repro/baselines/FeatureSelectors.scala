@@ -105,12 +105,7 @@ object FeatureSelectors {
     val data = DenseData.appendColumns(base, candidates.map(_.values), y).select(split.train)
     val order = RegressionTree.presort(data.x)
     val imp = new Array[Double](data.numCols)
-    val targets: Vector[Array[Double]] = task match {
-      case MultiClassification(c) =>
-        (0 until c).map(cl => data.y.map(v => if (v.toInt == cl) 1.0 else 0.0)).toVector
-      case _ => Vector(data.y)
-    }
-    targets.zipWithIndex.foreach { case (t, ti) =>
+    Task.headTargets(task, data.y).zipWithIndex.foreach { case (t, ti) =>
       val resid = t.clone()
       var round = 0
       while (round < 8) {

@@ -137,14 +137,16 @@ object ColumnarTable {
   private def toNumbers(rows: Array[Row], j: Int): Numbers = {
     val nulls = new java.util.BitSet(rows.length)
     val values = Array.tabulate(rows.length) { i =>
-      rows(i).get(j) match {
-        case null       => nulls.set(i); 0.0
-        case b: Boolean => if (b) 1.0 else 0.0
-        case n: Number  => n.doubleValue
-        case other      => throw new IllegalArgumentException(s"non-numeric value $other")
-      }
+      if (rows(i).isNullAt(j)) { nulls.set(i); 0.0 } else toDouble(rows(i).get(j))
     }
     Numbers(values, nulls)
+  }
+
+  /** A non-NULL numeric or boolean Spark value as a double (true = 1.0). */
+  def toDouble(v: Any): Double = v match {
+    case b: Boolean => if (b) 1.0 else 0.0
+    case n: Number  => n.doubleValue
+    case other      => throw new IllegalArgumentException(s"non-numeric value $other")
   }
 
   /** Dictionary codes in first-seen order; `key` gives a value's dictionary

@@ -5,8 +5,9 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Executes predicate-aware feature queries against the relevant table and
-  * aligns each feature column to the training rows (Definition 3's LEFT
-  * JOIN, with keys that have no qualifying rows filled with 0.0).
+  * aligns each feature column to the training rows, given by their key
+  * tuples `trainKeyRows` in row order (Definition 3's LEFT JOIN, with keys
+  * that have no qualifying rows filled with 0.0).
   *
   *  - [[featureValues]] is the search path. On its first call it collects
   *    the relevant table into the driver as a [[ColumnarTable]]; each key
@@ -21,20 +22,10 @@ import org.apache.spark.sql.functions._
   * mirroring Featuretools' fillna(0) convention.
   */
 final class FeatureQueryExecutor(
-    val train: DataFrame,
-    val relevant: DataFrame,
+    relevant: DataFrame,
     val allKeys: Vector[String],
-    precollectedKeys: Option[Array[Vector[String]]] = None,
+    val trainKeyRows: Array[Vector[String]],
 ) {
-  /** Train-side key tuples in row order — collected once, or provided by
-    * the caller when it already collected the training rows (guarantees
-    * row alignment with the caller's feature matrix).
-    */
-  lazy val trainKeyRows: Array[Vector[String]] = precollectedKeys.getOrElse {
-    train.select(allKeys.map(col): _*).collect()
-      .map(r => Vector.tabulate(allKeys.size)(i => String.valueOf(r.get(i))))
-  }
-
   private lazy val columnar: ColumnarTable = ColumnarTable.collect(relevant, allKeys)
   private val groupIndexes = mutable.HashMap.empty[Vector[String], ColumnarTable.Groups]
 

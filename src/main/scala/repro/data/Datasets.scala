@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -40,9 +40,21 @@ final case class TaskDef(
   * aggregates — the behaviour the paper's tables measure. Scale factors:
   * SF=0.01 for unit tests, SF=0.1 for benchmarks. Every `spark.range` has 4
   * partitions: `rand(seed)` is seeded per partition, so a count taken from
-  * `defaultParallelism` would make the data depend on the core count.
+  * `defaultParallelism` would make the data depend on the core count. For
+  * the same reason every generator shuffles into 4 partitions, whatever the
+  * session's setting: the order of the rows, which the columnar executor
+  * replays, then depends on (sf, seed) only.
   */
 object Datasets {
+
+  /** Runs `gen` with 4 shuffle partitions, then restores the session's
+    * value; the frames a generator returns are cached, which fixes their plans.
+    */
+  private def fourShufflePartitions(spark: SparkSession)(gen: => TaskDef): TaskDef = {
+    val caller = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "4")
+    try gen finally spark.conf.set("spark.sql.shuffle.partitions", caller)
+  }
 
   private def rows(base: Long, sf: Double, floor: Int): Long =
     math.max(floor.toLong, (base * sf).toLong)
@@ -55,11 +67,30 @@ object Datasets {
     df.withColumn(c, (col(c) - lit(m)) / lit(s))
   }
 
+  /** `base` with column `name` = `target`, an expression of the z-scored
+    * planted signal `sig` (`sigs` left-joined on `keys`, 0 where absent).
+    */
+  private def planted(base: DataFrame, sigs: DataFrame, keys: Seq[String], name: String, target: Column): DataFrame = {
+    val joined = base.join(sigs, keys, "left").na.fill(0.0, Seq("sig"))
+    zscore(joined, "sig").withColumn(name, target).drop("sig").repartition(4).cache()
+  }
+
+  /** The binary label: the z-scored signal plus Gaussian noise, above 0. */
+  private def noisyThreshold(seed: Long): Column =
+    (col("sig") * 0.9 + randn(seed) * 0.45 > 0).cast(IntegerType)
+
+  /** `scored` with `score` replaced by its quartile, 0..3, as `label`. */
+  private def quartileLabel(scored: DataFrame): DataFrame =
+    scored
+      .withColumn("label", (ntile(4).over(Window.orderBy("score")) - 1).cast(IntegerType))
+      .drop("score")
+      .repartition(4).cache()
+
   /** Tmall-lite — repeat-buyer prediction; keys (user_id, merchant_id).
     * Signal: spend on 'purchase' actions in the last ~quarter of the year
     * at that merchant.
     */
-  def tmallLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 100L): TaskDef = {
+  def tmallLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 100L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(20000, sf, 240)
     val nLogs = rows(600000, sf, 4000)
     val nMerchant = 40
@@ -102,11 +133,7 @@ object Datasets {
       .filter(col("action_type") === "purchase" && col("time_stamp") >= 180)
       .groupBy("user_id", "merchant_id")
       .agg(sum("item_price").as("sig"))
-    val joined = base.join(sig, Seq("user_id", "merchant_id"), "left").na.fill(0.0, Seq("sig"))
-    val train = zscore(joined, "sig")
-      .withColumn("label", (col("sig") * 0.9 + randn(seed + 13) * 0.45 > 0).cast(IntegerType))
-      .drop("sig")
-      .repartition(4).cache()
+    val train = planted(base, sig, Seq("user_id", "merchant_id"), "label", noisyThreshold(seed + 13))
 
     TaskDef("Tmall", train, logs, Vector("user_id", "merchant_id"),
       Vector("age_range", "gender"), "label", BinaryClassification,
@@ -118,7 +145,7 @@ object Datasets {
   /** Instacart-lite — will-buy prediction; key user_id. Signal: reorders
     * within one department.
     */
-  def instacartLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 200L): TaskDef = {
+  def instacartLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 200L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(20000, sf, 240)
     val nLines = rows(600000, sf, 4000)
     val lines = spark.range(0, nLines, 1, 4).select(
@@ -142,11 +169,7 @@ object Datasets {
       .filter(col("department") === "dep3" && col("reordered") === 1)
       .groupBy("user_id")
       .agg(count(lit(1)).cast(DoubleType).as("sig"))
-    val joined = base.join(sig, Seq("user_id"), "left").na.fill(0.0, Seq("sig"))
-    val train = zscore(joined, "sig")
-      .withColumn("label", (col("sig") * 0.9 + randn(seed + 12) * 0.45 > 0).cast(IntegerType))
-      .drop("sig")
-      .repartition(4).cache()
+    val train = planted(base, sig, Seq("user_id"), "label", noisyThreshold(seed + 12))
 
     TaskDef("Instacart", train, lines, Vector("user_id"),
       Vector("total_orders", "avg_days_between"), "label", BinaryClassification,
@@ -159,7 +182,7 @@ object Datasets {
   /** Student-lite — answer-correctness prediction from game-play events;
     * key session_id. Signal: hover time at high levels.
     */
-  def studentLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 300L): TaskDef = {
+  def studentLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 300L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(15000, sf, 200)
     val nEvents = rows(500000, sf, 4000)
     val events = spark.range(0, nEvents, 1, 4).select(
@@ -188,11 +211,7 @@ object Datasets {
       .filter(col("event_name") === "hover" && col("level") >= 15)
       .groupBy("session_id")
       .agg(sum("hover_duration").as("sig"))
-    val joined = base.join(sig, Seq("session_id"), "left").na.fill(0.0, Seq("sig"))
-    val train = zscore(joined, "sig")
-      .withColumn("label", (col("sig") * 0.9 + randn(seed + 12) * 0.45 > 0).cast(IntegerType))
-      .drop("sig")
-      .repartition(4).cache()
+    val train = planted(base, sig, Seq("session_id"), "label", noisyThreshold(seed + 12))
 
     TaskDef("Student", train, events, Vector("session_id"),
       Vector("grade_level", "prior_score"), "label", BinaryClassification,
@@ -206,7 +225,7 @@ object Datasets {
   /** Merchant-lite — regression on future loyalty; key merchant_id.
     * Signal: recent average spend within one category.
     */
-  def merchantLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 400L): TaskDef = {
+  def merchantLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 400L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(20000, sf, 220)
     val nTxn = rows(450000, sf, 4000)
     val txns = spark.range(0, nTxn, 1, 4).select(
@@ -231,11 +250,7 @@ object Datasets {
       .filter(col("month_lag") >= -2 && col("category") === "cat2")
       .groupBy("merchant_id")
       .agg(avg("purchase_amount").as("sig"))
-    val joined = base.join(sig, Seq("merchant_id"), "left").na.fill(0.0, Seq("sig"))
-    val train = zscore(joined, "sig")
-      .withColumn("target", round(col("sig") * 2.5 + randn(seed + 12) * 3.2, 4))
-      .drop("sig")
-      .repartition(4).cache()
+    val train = planted(base, sig, Seq("merchant_id"), "target", round(col("sig") * 2.5 + randn(seed + 12) * 3.2, 4))
 
     TaskDef("Merchant", train, txns, Vector("merchant_id"),
       Vector("city_id", "active_months"), "target", Regression,
@@ -251,7 +266,7 @@ object Datasets {
     * threshold gate, so predicate-masked copies of features help linear
     * models (matching the paper's one-to-one findings).
     */
-  def covtypeLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 500L): TaskDef = {
+  def covtypeLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 500L): TaskDef = fourShufflePartitions(spark) {
     val n = rows(30000, sf, 300)
     val feats = spark.range(1, n + 1, 1, 4).select(
       (col("id") :: (1 to 12).map(i =>
@@ -261,10 +276,7 @@ object Datasets {
       col("f1") * 0.8 + col("f2") * col("f3") * 1.6 +
         when(col("f4") > 0, col("f5")).otherwise(-col("f5")) * 1.2 +
         randn(seed + 50) * 0.35)
-    val train = scored
-      .withColumn("label", (ntile(4).over(Window.orderBy("score")) - 1).cast(IntegerType))
-      .drop("score")
-      .repartition(4).cache()
+    val train = quartileLabel(scored)
     val relevant = train.drop("label").repartition(4).cache()
 
     TaskDef("Covtype", train, relevant, Vector("data_index"),
@@ -278,7 +290,7 @@ object Datasets {
     * base features, the relevant table holds the other 20 numeric + 2
     * categorical attributes that actually drive the label.
     */
-  def householdLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 600L): TaskDef = {
+  def householdLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 600L): TaskDef = fourShufflePartitions(spark) {
     val n = rows(19000, sf, 250)
     val wide = spark.range(1, n + 1, 1, 4).select(
       (col("id") ::
@@ -293,10 +305,7 @@ object Datasets {
       col("r1") * 1.2 + col("r2") * col("r3") * 1.5 +
         when(col("c1") === "u2", col("r4") * 1.4).otherwise(col("r5") * 0.3) +
         col("b1") * 0.3 + randn(seed + 300) * 0.35)
-    val full = scored
-      .withColumn("label", (ntile(4).over(Window.orderBy("score")) - 1).cast(IntegerType))
-      .drop("score")
-      .repartition(4).cache()
+    val full = quartileLabel(scored)
     val train = full.select(("data_index" +: (1 to 5).map(i => s"b$i") :+ "label").map(col): _*).repartition(4).cache()
     val relevant = full.select(
       ("data_index" +: (1 to 20).map(i => s"r$i") :+ "c1" :+ "c2").map(col): _*).repartition(4).cache()

@@ -1,5 +1,6 @@
 package repro.exp
 
+import scala.collection.immutable.ListMap
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{AutoFeature, FeatureSelectors}
@@ -43,10 +44,6 @@ object Experiments {
   * run per dataset and model, exactly like the paper reuses its main runs.
   */
 final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudget) {
-  // Small aggregate results at this scale: fewer shuffle partitions keep
-  // per-query latency low in local mode (runtime conf, AQE-compatible).
-  spark.conf.set("spark.sql.shuffle.partitions", "4")
-
   lazy val oneToMany: Vector[Prepared] = Datasets.oneToMany(spark, sf).map(new Prepared(_, budget))
   lazy val oneToOne: Vector[Prepared] = Datasets.oneToOne(spark, sf).map(new Prepared(_, budget))
 
@@ -97,34 +94,32 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
     Vector("Model", column) ++ ps.map(_.td.name),
     for (mk <- models; m <- methods) yield Vector(mk.name, m.label) ++ ps.map(p => fmtOpt(m.result(p, mk))))
 
+  /** A dataset's relevant-table rows and its train/valid/test sizes. */
+  private def statCells(p: Prepared): Vector[String] =
+    Vector(p.td.relevant.count().toString, s"${p.split.train.length}/${p.split.valid.length}/${p.split.test.length}")
+
+  /** A dataset's template: |F|, # of A, # of predicate attributes, keys, # of templates. */
+  private def templateCells(p: Prepared): Vector[String] =
+    Vector(p.td.aggFuncs.size.toString, p.td.aggAttrs.size.toString, p.td.predAttrs.size.toString,
+      p.td.keys.mkString("+"), s"2^${p.td.predAttrs.size}")
+
   /** Table I: one-to-many dataset statistics. */
   def tableI: ResultTable = ResultTable(
     "Table I: datasets (one-to-many; synthetic lite-scale, see DESIGN.md §3)",
     Vector("Dataset", "# of Tables", "# of rows in R", "# of Train/Valid/Test"),
-    oneToMany.map { p =>
-      Vector(p.td.name, "2", p.td.relevant.count().toString,
-        s"${p.split.train.length}/${p.split.valid.length}/${p.split.test.length}")
-    })
+    oneToMany.map(p => Vector(p.td.name, "2") ++ statCells(p)))
 
   /** Table II: query template configuration per dataset. */
   def tableII: ResultTable = ResultTable(
     "Table II: query templates (one-to-many)",
     Vector("Dataset", "|F|", "# of A", "# of attr", "K", "# of T"),
-    oneToMany.map { p =>
-      Vector(p.td.name, p.td.aggFuncs.size.toString, p.td.aggAttrs.size.toString,
-        p.td.predAttrs.size.toString, p.td.keys.mkString("+"), s"2^${p.td.predAttrs.size}")
-    })
+    oneToMany.map(p => p.td.name +: templateCells(p)))
 
   /** Table IV+V: single-table / one-to-one dataset + template statistics. */
   def tableIVV: ResultTable = ResultTable(
     "Table IV+V: Covtype/Household datasets and templates",
     Vector("Dataset", "# of rows in R", "Train/Valid/Test", "|F|", "# of A", "# of attr", "K", "# of T"),
-    oneToOne.map { p =>
-      Vector(p.td.name, p.td.relevant.count().toString,
-        s"${p.split.train.length}/${p.split.valid.length}/${p.split.test.length}",
-        p.td.aggFuncs.size.toString, p.td.aggAttrs.size.toString, p.td.predAttrs.size.toString,
-        p.td.keys.mkString("+"), s"2^${p.td.predAttrs.size}")
-    })
+    oneToOne.map(p => (p.td.name +: statCells(p)) ++ templateCells(p)))
 
   /** Table III: main one-to-many comparison (4 datasets x 4 models x 10 methods). */
   def tableIII: ResultTable = methodTable(
@@ -167,4 +162,17 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
         Vector(p.td.name, metricName) ++ (for (mk <- oneToManyModels; m <- proxies) yield fmtOpt(m.result(p, mk)))
       })
   }
+
+  /** The tables by paper id, in paper order; each is built when called. */
+  private val tables: ListMap[String, () => ResultTable] = ListMap(
+    "I" -> (() => tableI), "II" -> (() => tableII), "III" -> (() => tableIII), "IV" -> (() => tableIVV),
+    "VI" -> (() => tableVI), "VII" -> (() => tableVII), "VIII" -> (() => tableVIII))
+
+  /** Every table id, in paper order. */
+  def tableIds: Vector[String] = tables.keys.toVector
+
+  /** The table with paper id `id` (IV also holds Table V). */
+  def table(id: String): ResultTable =
+    tables.getOrElse(id, throw new IllegalArgumentException(
+      s"unknown table id '$id'; valid ids: ${tableIds.mkString(", ")}"))()
 }

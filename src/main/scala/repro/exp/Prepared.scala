@@ -27,7 +27,7 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
   val y: Array[Double] = rows.map(r => num(r.get(td.keys.size + td.baseFeatures.size)))
 
   val split: Splits.Split = Splits.threeWay(rows.length, splitSeed)
-  val executor = new FeatureQueryExecutor(td.train, td.relevant, td.keys, Some(keyRows))
+  val executor = new FeatureQueryExecutor(td.relevant, td.keys, keyRows)
   val domains: Map[String, AttrDomain] =
     SearchSpace.domains(td.relevant, td.predAttrs, budget.maxCats, budget.numQuantiles)
   val featureStore: mutable.Map[String, Array[Double]] = mutable.HashMap.empty
@@ -64,19 +64,13 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
     * (Search never sees the test split.)
     */
   def finalMetric(modelKind: ModelKind, features: Seq[Array[Double]], seed: Long = 7L): Double = {
-    Models.splitMetric(modelKind, td.task, DenseData.appendColumns(baseX, features, y),
+    val m = Models.splitMetric(modelKind, td.task, DenseData.appendColumns(baseX, features, y),
       split.train, split.test, seed, fast = false)
+    require(!m.isNaN && !m.isInfinite,
+      s"${td.name} / ${modelKind.name} with ${features.size} feature(s): non-finite test metric $m")
+    m
   }
 
-  private def num(v: Any): Double = v match {
-    case null       => 0.0
-    case d: Double  => d
-    case f: Float   => f.toDouble
-    case i: Int     => i.toDouble
-    case l: Long    => l.toDouble
-    case s: Short   => s.toDouble
-    case b: Boolean => if (b) 1.0 else 0.0
-    case bd: java.math.BigDecimal => bd.doubleValue
-    case other      => throw new IllegalArgumentException(s"non-numeric value $other")
-  }
+  /** A collected value as a double; NULL reads as 0.0. */
+  private def num(v: Any): Double = if (v == null) 0.0 else ColumnarTable.toDouble(v)
 }

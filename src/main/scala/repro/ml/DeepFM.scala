@@ -44,7 +44,7 @@ final class DeepFMTrainer(
   }
 
   private def finitePredictions(p: Predictor, data: DenseData): Boolean =
-    data.x.take(8).forall(r => p.scores(r).forall(v => !v.isNaN && !v.isInfinity))
+    data.x.forall(r => p.scores(r).forall(v => !v.isNaN && !v.isInfinity))
 
   private def fitOnce(data: DenseData, lr: Double): Predictor = {
     val std = Standardizer.fit(data.x)

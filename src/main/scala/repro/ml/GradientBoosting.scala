@@ -27,22 +27,14 @@ final class GradientBoostingTrainer(
   override def fit(data: DenseData): Predictor = {
     // Every tree of every head fits the same x, so one presort serves all.
     val order = RegressionTree.presort(data.x)
-    val heads: Array[Head] = task match {
-      case Regression           => Array(fitHead(data.x, order, data.y, logistic = false, seed))
-      case BinaryClassification => Array(fitHead(data.x, order, data.y, logistic = true, seed))
-      case MultiClassification(k) =>
-        Array.tabulate(k) { c =>
-          fitHead(data.x, order, data.y.map(v => if (v.toInt == c) 1.0 else 0.0), logistic = true, seed + 7919L * c)
-        }
-    }
+    val heads = Task.headTargets(task, data.y).zipWithIndex.map { case (y, c) =>
+      fitHead(data.x, order, y, logistic = task != Regression, seed + 7919L * c)
+    }.toArray
     new Predictor {
       override def scores(row: Array[Double]): Array[Double] = task match {
-        case Regression           => Array(heads(0).raw(row))
-        case BinaryClassification => Array(sigmoid(heads(0).raw(row)))
-        case MultiClassification(_) =>
-          val p = heads.map(h => math.max(1e-9, sigmoid(h.raw(row))))
-          val s = p.sum
-          p.map(_ / s)
+        case Regression             => Array(heads(0).raw(row))
+        case BinaryClassification   => Array(sigmoid(heads(0).raw(row)))
+        case MultiClassification(_) => Task.normalise(heads.map(h => sigmoid(h.raw(row))))
       }
     }
   }

@@ -34,35 +34,39 @@ final class LogisticRegressionTrainer(
     val xs = std.transform(data.x)
     val n = data.numRows
     val m = data.numCols
-    val k = task match {
-      case BinaryClassification   => 1
-      case MultiClassification(c) => c
-      case Regression             => throw new IllegalStateException("unreachable")
-    }
+    val targets = Task.headTargets(task, data.y)
+    val k = targets.size
     val rnd = new Random(seed)
     val w = Array.fill(k, m)(rnd.nextGaussian() * 0.01)
     val b = new Array[Double](k)
     val vw = Array.fill(k, m)(0.0)
     val vb = new Array[Double](k)
     val mom = 0.9
+    // P(y = 1) through a sigmoid for one head, else a softmax over the heads.
+    def probs(x: Array[Double]): Array[Double] = {
+      val z = Array.tabulate(k) { c =>
+        var s = b(c); var j = 0
+        while (j < m) { s += w(c)(j) * x(j); j += 1 }
+        s
+      }
+      if (k == 1) Array(1.0 / (1.0 + math.exp(-z(0))))
+      else {
+        val mx = z.max
+        val e = z.map(v => math.exp(v - mx))
+        val s = e.sum
+        e.map(_ / s)
+      }
+    }
     var epoch = 0
     while (epoch < epochs) {
       val gw = Array.fill(k, m)(0.0)
       val gb = new Array[Double](k)
       var i = 0
       while (i < n) {
-        val logits = Array.tabulate(k) { c =>
-          var s = b(c); var j = 0
-          while (j < m) { s += w(c)(j) * xs(i)(j); j += 1 }
-          s
-        }
-        val probs =
-          if (k == 1) Array(1.0 / (1.0 + math.exp(-logits(0))))
-          else softmax(logits)
+        val p = probs(xs(i))
         var c = 0
         while (c < k) {
-          val target = if (k == 1) data.y(i) else (if (data.y(i).toInt == c) 1.0 else 0.0)
-          val err = probs(c) - target
+          val err = p(c) - targets(c)(i)
           gb(c) += err
           var j = 0
           while (j < m) { gw(c)(j) += err * xs(i)(j); j += 1 }
@@ -85,23 +89,8 @@ final class LogisticRegressionTrainer(
       epoch += 1
     }
     new Predictor {
-      override def scores(x: Array[Double]): Array[Double] = {
-        val z = std.transform(Array(x))(0)
-        val logits = Array.tabulate(k) { c =>
-          var s = b(c); var j = 0
-          while (j < m) { s += w(c)(j) * z(j); j += 1 }
-          s
-        }
-        if (k == 1) Array(1.0 / (1.0 + math.exp(-logits(0)))) else softmax(logits)
-      }
+      override def scores(x: Array[Double]): Array[Double] = probs(std.transform(Array(x))(0))
     }
-  }
-
-  private def softmax(z: Array[Double]): Array[Double] = {
-    val mx = z.max
-    val e = z.map(v => math.exp(v - mx))
-    val s = e.sum
-    e.map(_ / s)
   }
 }
 

@@ -1,8 +1,8 @@
 package repro.ml
 
 /** Evaluation metrics used in the paper's tables: AUC (binary), macro F1
-  * (multi-class) and RMSE (regression). `taskLoss` converts each to a
-  * minimization objective for the TPE search (1-AUC, 1-F1, RMSE).
+  * (multi-class) and RMSE (regression). [[Models.splitLoss]] turns each into
+  * a minimization objective for the TPE search (1-AUC, 1-F1, RMSE).
   */
 object Metrics {
 
@@ -14,20 +14,25 @@ object Metrics {
     val nPos = y.count(_ > 0.5).toDouble
     val nNeg = y.length - nPos
     if (nPos == 0 || nNeg == 0) return 0.5
-    // Average ranks over tied scores.
-    val order = scores.indices.sortBy(scores(_))
-    val ranks = new Array[Double](y.length)
+    val r = ranks(scores)
+    val sumPosRanks = y.indices.iterator.filter(y(_) > 0.5).map(r(_)).sum
+    (sumPosRanks - nPos * (nPos + 1) / 2.0) / (nPos * nNeg)
+  }
+
+  /** Average ranks (1-based, ties averaged). */
+  def ranks(values: Array[Double]): Array[Double] = {
+    val order = values.indices.sortBy(values(_))
+    val out = new Array[Double](values.length)
     var i = 0
     while (i < order.length) {
       var j = i
-      while (j + 1 < order.length && scores(order(j + 1)) == scores(order(i))) j += 1
-      val avgRank = (i + j + 2) / 2.0 // ranks are 1-based
+      while (j + 1 < order.length && values(order(j + 1)) == values(order(i))) j += 1
+      val avg = (i + j + 2) / 2.0
       var k = i
-      while (k <= j) { ranks(order(k)) = avgRank; k += 1 }
+      while (k <= j) { out(order(k)) = avg; k += 1 }
       i = j + 1
     }
-    val sumPosRanks = y.indices.iterator.filter(y(_) > 0.5).map(ranks(_)).sum
-    (sumPosRanks - nPos * (nPos + 1) / 2.0) / (nPos * nNeg)
+    out
   }
 
   /** Macro-averaged F1 over classes 0..numClasses-1. Classes absent from
@@ -67,12 +72,6 @@ object Metrics {
     case MultiClassification(k) =>
       macroF1(y.map(_.toInt), scores.map(s => s.indices.maxBy(s(_))), k)
     case Regression => rmse(y, scores.map(_(0)))
-  }
-
-  /** Minimization objective for the search: 1-AUC, 1-macroF1, or RMSE. */
-  def taskLoss(task: Task, y: Array[Double], scores: Array[Array[Double]]): Double = task match {
-    case Regression => taskMetric(task, y, scores)
-    case _          => 1.0 - taskMetric(task, y, scores)
   }
 
   /** True iff a larger metric value is better for this task. */

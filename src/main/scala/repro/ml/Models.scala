@@ -30,13 +30,12 @@ object Models {
         new DeepFMTrainer(task, epochs = if (fast) 4 else 25, seed = seed)
     }
 
-  /** Fit on the train split and return the task loss on the eval split. */
+  /** [[splitMetric]] as a minimization objective: RMSE as is, else 1 - metric. */
   def splitLoss(kind: ModelKind, task: Task, data: DenseData,
                 trainIdx: Array[Int], evalIdx: Array[Int],
                 seed: Long = 7L, fast: Boolean = false): Double = {
-    val pred = trainer(kind, task, seed, fast).fit(data.select(trainIdx))
-    val ev = data.select(evalIdx)
-    Metrics.taskLoss(task, ev.y, pred.scoresAll(ev.x))
+    val m = splitMetric(kind, task, data, trainIdx, evalIdx, seed, fast)
+    if (task == Regression) m else 1.0 - m
   }
 
   /** Fit on the train split and return the task *metric* on the eval split. */

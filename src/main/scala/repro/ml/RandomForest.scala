@@ -21,24 +21,16 @@ final class RandomForestTrainer(
 
   override def fit(data: DenseData): Predictor = {
     val ranks = RegressionTree.ranks(data.x)
-    val heads: Array[Array[Double] => Double] = task match {
-      case Regression           => Array(fitForest(data.x, ranks, data.y, seed))
-      case BinaryClassification => Array(fitForest(data.x, ranks, data.y, seed))
-      case MultiClassification(k) =>
-        Array.tabulate(k) { c =>
-          fitForest(data.x, ranks, data.y.map(v => if (v.toInt == c) 1.0 else 0.0), seed + 1000L * c)
-        }
-    }
+    val heads = Task.headTargets(task, data.y).zipWithIndex.map { case (y, c) =>
+      fitForest(data.x, ranks, y, seed + 1000L * c)
+    }.toArray
     new Predictor {
       override def scores(x: Array[Double]): Array[Double] = {
         val raw = heads.map(h => h(x))
         task match {
-          case MultiClassification(_) =>
-            val clipped = raw.map(v => math.max(1e-9, v))
-            val s = clipped.sum
-            clipped.map(_ / s)
-          case BinaryClassification => raw.map(v => math.min(1.0, math.max(0.0, v)))
-          case Regression           => raw
+          case MultiClassification(_) => Task.normalise(raw)
+          case BinaryClassification   => raw.map(v => math.min(1.0, math.max(0.0, v)))
+          case Regression             => raw
         }
       }
     }

@@ -5,7 +5,7 @@ package repro.ml
   * The paper evaluates binary classification (AUC), multi-class
   * classification (macro F1) and regression (RMSE); the task drives both
   * the model head (sigmoid / softmax / identity) and the loss reported by
-  * [[Metrics.taskLoss]].
+  * [[Models.splitLoss]].
   */
 sealed trait Task
 
@@ -21,6 +21,25 @@ final case class MultiClassification(numClasses: Int) extends Task {
 
 /** Real-valued regression; predictors emit the predicted value. */
 case object Regression extends Task
+
+object Task {
+  /** The target of each model head: `y` itself, or one 0/1 indicator per
+    * class for a multi-class task (one-vs-rest).
+    */
+  def headTargets(task: Task, y: Array[Double]): Vector[Array[Double]] = task match {
+    case MultiClassification(k) => Vector.tabulate(k)(c => y.map(v => if (v.toInt == c) 1.0 else 0.0))
+    case _                      => Vector(y)
+  }
+
+  /** One-vs-rest head scores as a distribution: each clipped below at
+    * 1e-9, then divided by their sum.
+    */
+  def normalise(scores: Array[Double]): Array[Double] = {
+    val clipped = scores.map(v => math.max(1e-9, v))
+    val s = clipped.sum
+    clipped.map(_ / s)
+  }
+}
 
 /** A dense supervised dataset held on the driver.
   *

@@ -1,6 +1,6 @@
 package repro.proxy
 
-import repro.ml.{BinaryClassification, MultiClassification, Regression, Task}
+import repro.ml.{BinaryClassification, Metrics, MultiClassification, Regression, Task}
 
 /** Low-cost feature/label association scores.
   *
@@ -65,25 +65,7 @@ object Association {
   /** |Spearman rank correlation| between feature and label. */
   def spearman(feature: Array[Double], y: Array[Double]): Double = {
     require(feature.length == y.length && feature.length >= 2, "need >= 2 aligned rows")
-    val rx = ranks(feature)
-    val ry = ranks(y)
-    math.abs(pearson(rx, ry))
-  }
-
-  /** Average ranks (1-based, ties averaged). */
-  def ranks(values: Array[Double]): Array[Double] = {
-    val order = values.indices.sortBy(values(_))
-    val out = new Array[Double](values.length)
-    var i = 0
-    while (i < order.length) {
-      var j = i
-      while (j + 1 < order.length && values(order(j + 1)) == values(order(i))) j += 1
-      val avg = (i + j + 2) / 2.0
-      var k = i
-      while (k <= j) { out(order(k)) = avg; k += 1 }
-      i = j + 1
-    }
-    out
+    math.abs(pearson(Metrics.ranks(feature), Metrics.ranks(y)))
   }
 
   private def pearson(a: Array[Double], b: Array[Double]): Double = {

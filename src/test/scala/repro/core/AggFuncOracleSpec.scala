@@ -69,7 +69,7 @@ class AggFuncOracleSpec extends SparkSpec with MiniData {
     val groups = (1L to 3L).flatMap(u => Seq(u -> "a", u -> "b")) ++
       Seq(4L -> "a", 5L -> "c") ++ // no relevant rows
       (6L to 13L).flatMap(u => Seq(u -> "a", u -> "b"))
-    new FeatureQueryExecutor(groups.toDF("u", "m"), advRelevant, Vector("u", "m"))
+    MiniData.executor(groups.toDF("u", "m"), advRelevant, Vector("u", "m"))
   }
 
   /** Query shapes over the adversarial fixture, for `agg` over `x`. */

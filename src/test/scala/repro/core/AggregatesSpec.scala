@@ -65,7 +65,7 @@ class AggregatesSpec extends SparkSpec {
   /** `agg` over one group through the columnar `featureValues` path. */
   private def columnarValue(agg: AggFunc, values: Seq[Double]): Double = {
     import spark.implicits._
-    val ex = new FeatureQueryExecutor(Seq(1L).toDF("k"), values.map(v => (1L, v)).toDF("k", "v"), Vector("k"))
+    val ex = MiniData.executor(Seq(1L).toDF("k"), values.map(v => (1L, v)).toDF("k", "v"), Vector("k"))
     ex.featureValues(QuerySpec(agg, "v", Vector.empty, Vector("k"))).head
   }
 
@@ -105,7 +105,7 @@ class AggregatesSpec extends SparkSpec {
     Aggregates.register(spark)
     val other = spark.newSession()
     import other.implicits._
-    val ex = new FeatureQueryExecutor(Seq(1L).toDF("k"), Seq((1L, 1.0), (1L, 2.0)).toDF("k", "v"), Vector("k"))
+    val ex = MiniData.executor(Seq(1L).toDF("k"), Seq((1L, 1.0), (1L, 2.0)).toDF("k", "v"), Vector("k"))
     val q = QuerySpec(AggFunc.Entropy, "v", Vector.empty, Vector("k"))
     assert(ex.featureDf(q).collect()(0).getDouble(1) == 1.0)
   }

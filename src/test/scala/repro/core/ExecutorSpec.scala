@@ -31,7 +31,7 @@ class ExecutorSpec extends SparkSpec with MiniData {
 
   test("featureValues equals Spark bit for bit where rounding depends on row order") {
     // Three hash partitions, so Spark merges partial aggregates across them.
-    val ex = new FeatureQueryExecutor(train, relevant.repartition(3, col("t")), Vector("uid"))
+    val ex = MiniData.executor(train, relevant.repartition(3, col("t")), Vector("uid"))
     for (agg <- Seq(AggFunc.Sum, AggFunc.Avg, AggFunc.VarSamp, AggFunc.StdPop, AggFunc.Kurtosis, AggFunc.Entropy);
          preds <- Seq(Vector.empty, q.preds)) {
       val qq = QuerySpec(agg, "amt", preds, Vector("uid"))
@@ -65,7 +65,7 @@ class ExecutorSpec extends SparkSpec with MiniData {
     val s = spark
     import s.implicits._
     val one = Seq((1L, 5.0)).toDF("uid", "amt")
-    val ex1 = new FeatureQueryExecutor(train, one, Vector("uid"))
+    val ex1 = MiniData.executor(train, one, Vector("uid"))
     val q1 = QuerySpec(AggFunc.VarSamp, "amt", Vector.empty, Vector("uid"))
     val df = ex1.featureDf(q1)
     assert(df.filter(col("feature").isNull).count() == 1)
@@ -94,7 +94,7 @@ class ExecutorSpec extends SparkSpec with MiniData {
     val rel2 = Seq((1L, 10L, 2.0), (1L, 10L, 4.0), (1L, 20L, 8.0), (2L, 10L, 16.0))
       .toDF("u", "m", "v")
     val tr2 = Seq((1L, 10L), (1L, 20L), (2L, 10L), (2L, 20L)).toDF("u", "m")
-    val ex2 = new FeatureQueryExecutor(tr2, rel2, Vector("u", "m"))
+    val ex2 = MiniData.executor(tr2, rel2, Vector("u", "m"))
     val qq = QuerySpec(AggFunc.Sum, "v", Vector.empty, Vector("u", "m"))
     assert(ex2.featureValues(qq).toSeq == Seq(6.0, 8.0, 16.0, 0.0))
   }
@@ -104,7 +104,7 @@ class ExecutorSpec extends SparkSpec with MiniData {
     import s.implicits._
     val rel2 = Seq((1L, 10L, 2.0), (1L, 20L, 4.0), (2L, 10L, 8.0)).toDF("u", "m", "v")
     val tr2 = Seq((1L, 10L), (1L, 20L), (2L, 10L)).toDF("u", "m")
-    val ex2 = new FeatureQueryExecutor(tr2, rel2, Vector("u", "m"))
+    val ex2 = MiniData.executor(tr2, rel2, Vector("u", "m"))
     val qq = QuerySpec(AggFunc.Sum, "v", Vector.empty, Vector("u")) // group by u only
     assert(ex2.featureValues(qq).toSeq == Seq(6.0, 6.0, 8.0))
   }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.ml.Splits
 import scala.util.Random
@@ -52,7 +53,7 @@ trait MiniData { self: SparkSpec =>
     trainRows.toDF("uid", "b", "label").cache()
   }
 
-  lazy val executor = new FeatureQueryExecutor(train, relevant, Vector("uid"))
+  lazy val executor: FeatureQueryExecutor = MiniData.executor(train, relevant, Vector("uid"))
 
   lazy val domains: Map[String, AttrDomain] =
     SearchSpace.domains(relevant, Seq("cat", "t"), maxCats = 6, numQuantiles = 5)
@@ -70,4 +71,11 @@ trait MiniData { self: SparkSpec =>
 object MiniData {
   /** A cheap aggregation-function subset for small templates. */
   val basic: Vector[AggFunc] = Vector(AggFunc.Sum, AggFunc.Min, AggFunc.Max, AggFunc.Count, AggFunc.Avg)
+
+  /** An executor over `relevant` for the rows of `train`, in the order in
+    * which `train` collects, with keys read as `Prepared` reads them.
+    */
+  def executor(train: DataFrame, relevant: DataFrame, keys: Vector[String]): FeatureQueryExecutor =
+    new FeatureQueryExecutor(relevant, keys, train.select(keys.map(col): _*).collect()
+      .map(r => Vector.tabulate(keys.size)(i => String.valueOf(r.get(i)))))
 }

@@ -3,7 +3,7 @@ package repro.data
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.core.{FeatureQueryExecutor, Predicate, QuerySpec, AggFunc}
+import repro.core.{AggFunc, MiniData, Predicate, QuerySpec}
 import repro.ml.{BinaryClassification, MultiClassification, Regression}
 import repro.proxy.Association
 
@@ -105,6 +105,31 @@ class DatasetsSpec extends SparkSpec {
     }
   }
 
+  test("Tmall's labels and relevant row order do not depend on the session's shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val caller = spark.conf.get(key)
+    // Key -> label rows and the relevant rows in collect order, generated
+    // under `partitions`; uncached afterwards, so the next call plans anew.
+    def generate(partitions: String): (Set[Seq[Any]], Array[Seq[Any]]) = {
+      spark.conf.set(key, partitions)
+      val td = Datasets.tmallLite(spark, 0.1)
+      val labels = td.train.select((td.keys :+ td.label).map(col): _*).collect().map(_.toSeq).toSet
+      val relevant = td.relevant.collect().map(_.toSeq)
+      td.train.unpersist(blocking = true)
+      td.relevant.unpersist(blocking = true)
+      (labels, relevant)
+    }
+    try {
+      val (labels64, rel64) = generate("64")
+      val (labels4, rel4) = generate("4")
+      val sameLabels = labels64 == labels4
+      assert(sameLabels, "key -> label rows differ")
+      assert(rel4.length == rel64.length)
+      val firstDiff = rel4.indices.find(i => rel4(i) != rel64(i))
+      assert(firstDiff.isEmpty, "relevant rows differ in order or content")
+    } finally spark.conf.set(key, caller)
+  }
+
   test("scale factor scales row counts") {
     val small = Datasets.instacartLite(spark, 0.005)
     val large = Datasets.instacartLite(spark, 0.02)
@@ -137,7 +162,7 @@ class DatasetsSpec extends SparkSpec {
     * label signal (MI) than the same aggregate without predicates.
     */
   private def signalCheck(td: TaskDef, withPred: QuerySpec, woPred: QuerySpec): Unit = {
-    val ex = new FeatureQueryExecutor(td.train, td.relevant, td.keys)
+    val ex = MiniData.executor(td.train, td.relevant, td.keys)
     val y = td.train.select(td.label).collect().map(_.get(0) match {
       case i: Int => i.toDouble; case d: Double => d; case l: Long => l.toDouble
     })

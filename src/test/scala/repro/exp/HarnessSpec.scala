@@ -14,6 +14,7 @@ class HarnessSpec extends SparkSpec {
   private lazy val budget = Experiments.testBudget
   private lazy val tmall = new Prepared(Datasets.tmallLite(spark, 0.004), budget)
   private lazy val covtype = new Prepared(Datasets.covtypeLite(spark, 0.004), budget)
+  private lazy val merchant = new Prepared(Datasets.merchantLite(spark, 0.004), budget)
 
   test("Prepared aligns keys, base features and labels from one collect") {
     assert(tmall.keyRows.length == tmall.baseX.length)
@@ -48,8 +49,13 @@ class HarnessSpec extends SparkSpec {
     assert(m >= 0.0 && m <= 1.0)
   }
 
+  test("finalMetric rejects a non-finite metric, naming dataset, model and feature count") {
+    val nan = Array.fill(merchant.y.length)(Double.NaN)
+    val e = intercept[IllegalArgumentException](merchant.finalMetric(LRModel, Seq(nan)))
+    Seq("Merchant", "LR", "1 feature").foreach(s => assert(e.getMessage.contains(s), e.getMessage))
+  }
+
   test("runFTSelector skips unsupported combinations and runs supported ones") {
-    val merchant = new Prepared(Datasets.merchantLite(spark, 0.004), budget)
     assert(Methods.runFTSelector(merchant, LRModel, FeatureSelectors.Chi2Sel).isEmpty)
     assert(Methods.runFTSelector(tmall, LRModel, FeatureSelectors.MISel).isDefined)
   }
@@ -75,6 +81,12 @@ class HarnessSpec extends SparkSpec {
     assert(lines.head == "== T ==")
     assert(lines(1).startsWith("| a"))
     assert(lines.drop(2).forall(_.length == lines(1).length))
+  }
+
+  test("Experiments.table rejects an unknown id and names the valid ones") {
+    val exp = new Experiments(spark, 0.004, budget)
+    val e = intercept[IllegalArgumentException](exp.table("V"))
+    assert(e.getMessage.contains("'V'") && e.getMessage.contains("I, II, III, IV, VI, VII, VIII"), e.getMessage)
   }
 
   test("budgets: bench is larger than test, both valid") {

@@ -77,11 +77,6 @@ class MetricsSpec extends AnyFunSuite {
     assert(Metrics.taskMetric(Regression, Array(1.0), Array(Array(3.0))) == 2.0)
   }
 
-  test("taskLoss is 1 - metric for classification and RMSE for regression") {
-    assert(Metrics.taskLoss(BinaryClassification, Array(0, 1), Array(Array(0.2), Array(0.8))) == 0.0)
-    assert(Metrics.taskLoss(Regression, Array(1.0), Array(Array(3.0))) == 2.0)
-  }
-
   test("higherIsBetter is true except for regression") {
     assert(Metrics.higherIsBetter(BinaryClassification))
     assert(Metrics.higherIsBetter(MultiClassification(4)))

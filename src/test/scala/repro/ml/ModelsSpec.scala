@@ -32,6 +32,20 @@ class ModelsSpec extends AnyFunSuite {
     assert(math.abs(loss - (1 - metric)) < 1e-12)
   }
 
+  test("splitLoss is 1 - macro F1 for multi-class and the eval RMSE for regression") {
+    val d = binaryData(200)
+    val tr = Array.range(0, 120); val ev = Array.range(120, 200)
+    val multi = DenseData(d.x, d.x.map(r => (if (r(0) > 0) 1.0 else 0.0) + (if (r(1) > 0) 2.0 else 0.0)))
+    val f1 = Models.splitMetric(XGBModel, MultiClassification(4), multi, tr, ev)
+    assert(Models.splitLoss(XGBModel, MultiClassification(4), multi, tr, ev) == 1 - f1)
+    // Regression: the loss is the RMSE of the fitted model's eval predictions.
+    val reg = DenseData(d.x, d.x.map(r => 3 * r(0) - r(1)))
+    val fitted = Models.trainer(LRModel, Regression).fit(reg.select(tr))
+    val rmse = Metrics.rmse(reg.select(ev).y, fitted.scoresAll(reg.select(ev).x).map(_(0)))
+    assert(Models.splitMetric(LRModel, Regression, reg, tr, ev) == rmse)
+    assert(Models.splitLoss(LRModel, Regression, reg, tr, ev) == rmse)
+  }
+
   test("splitLoss is low on separable data for every model kind") {
     val d = binaryData(300)
     val tr = Array.range(0, 180); val ev = Array.range(180, 300)

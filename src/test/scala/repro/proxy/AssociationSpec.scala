@@ -3,7 +3,7 @@ package repro.proxy
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
-import repro.ml.{BinaryClassification, MultiClassification, Regression}
+import repro.ml.{BinaryClassification, Metrics, MultiClassification, Regression}
 import scala.util.Random
 
 class AssociationSpec extends AnyFunSuite with PropSupport {
@@ -88,7 +88,7 @@ class AssociationSpec extends AnyFunSuite with PropSupport {
   }
 
   test("ranks average ties") {
-    assert(Association.ranks(Array(1.0, 2.0, 2.0, 3.0)).toSeq == Seq(1.0, 2.5, 2.5, 4.0))
+    assert(Metrics.ranks(Array(1.0, 2.0, 2.0, 3.0)).toSeq == Seq(1.0, 2.5, 2.5, 4.0))
   }
 
   test("chi2 is large for a perfectly dependent feature and ~0 for constants") {
