@@ -15,7 +15,7 @@ object RunTables {
       case "--sf" :: v :: rest => (v.toDouble, rest)
       case rest                => (0.1, rest)
     }
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("tables")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -10,26 +10,27 @@ import repro.ml._
   */
 object ARDA {
 
-  /** Select up to `k` candidate indices. `noiseCols` synthetic columns are
-    * injected; the cutoff is the `tau` quantile of noise importances.
+  private val NoiseCols = 10 // injected Gaussian columns
+  private val Tau = 0.9      // the cutoff quantile of their importances
+
+  /** Select up to `k` candidate indices: those whose importance beats the
+    * [[Tau]] quantile of [[NoiseCols]] injected noise columns' importances.
     */
   def select(
       base: Array[Array[Double]],
-      candidates: Vector[CandidateFeature],
+      candidates: Vector[Array[Double]],
       y: Array[Double],
       task: Task,
       split: Splits.Split,
       k: Int,
-      noiseCols: Int = 10,
-      tau: Double = 0.9,
       seed: Long = 7L,
   ): Vector[Int] = {
     require(candidates.nonEmpty, "ARDA needs candidates")
     val rnd = new Random(seed)
     val n = y.length
-    val noise = Vector.fill(noiseCols)(Array.fill(n)(rnd.nextGaussian()))
+    val noise = Vector.fill(NoiseCols)(Array.fill(n)(rnd.nextGaussian()))
 
-    val data = DenseData.appendColumns(base, candidates.map(_.values) ++ noise, y).select(split.train)
+    val data = DenseData.appendColumns(base, candidates ++ noise, y).select(split.train)
     val (x, yt) = (data.x, data.y)
 
     // Importance from a bagged tree ensemble over indicator targets.
@@ -38,8 +39,7 @@ object ARDA {
     Task.headTargets(task, yt).zipWithIndex.foreach { case (t, ti) =>
       (0 until 8).foreach { b =>
         val bag = Array.fill(x.length)(rnd.nextInt(x.length))
-        val tree = new RegressionTree(maxDepth = 4, minSamplesLeaf = 4,
-          featureFraction = 0.7, seed = seed + 131L * (ti * 8 + b))
+        val tree = new RegressionTree(maxDepth = 4, featureFraction = 0.7, seed = seed + 131L * (ti * 8 + b))
         tree.fit(bag.map(x(_)), bag.map(t(_)), RegressionTree.presort(ranks, bag))
         tree.addImportance(imp)
       }
@@ -47,7 +47,7 @@ object ARDA {
     val nb = base(0).length
     val candImp = candidates.indices.map(i => imp(nb + i))
     val noiseImp = noise.indices.map(i => imp(nb + candidates.size + i)).sorted
-    val cutoff = noiseImp((tau * (noiseImp.size - 1)).toInt)
+    val cutoff = noiseImp((Tau * (noiseImp.size - 1)).toInt)
     val kept = candidates.indices.filter(i => candImp(i) > cutoff)
     val ranked = kept.sortBy(i => -candImp(i)).take(k).toVector
     // Degenerate guard: if the threshold kills everything, keep the single

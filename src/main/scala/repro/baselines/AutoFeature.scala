@@ -21,17 +21,18 @@ object AutoFeature {
   case object MAB extends Agent { val name = "AutoFeat-MAB" }
   case object DQN extends Agent { val name = "AutoFeat-DQN" }
 
+  private val Iterations = 60 // agent steps per episode, one model fit each
+
   /** Run the augmentation episode; returns selected candidate indices. */
   def select(
       agent: Agent,
       base: Array[Array[Double]],
-      candidates: Vector[CandidateFeature],
+      candidates: Vector[Array[Double]],
       y: Array[Double],
       task: Task,
       modelKind: ModelKind,
       split: Splits.Split,
       k: Int,
-      iterations: Int = 60,
       seed: Long = 7L,
   ): Vector[Int] = {
     require(candidates.nonEmpty, "AutoFeature needs candidates")
@@ -51,7 +52,7 @@ object AutoFeature {
 
     var it = 0
     var totalPulls = 0
-    while (it < iterations && selected.size < k) {
+    while (it < Iterations && selected.size < k) {
       val available = candidates.indices.filterNot(selected.contains)
       if (available.isEmpty) return selected.toVector
       val arm = agent match {

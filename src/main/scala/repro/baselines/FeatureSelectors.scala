@@ -23,6 +23,10 @@ object FeatureSelectors {
 
   val all: Vector[Selector] = Vector(LRSel, GBDTSel, MISel, Chi2Sel, GiniSel, ForwardSel, BackwardSel)
 
+  private val WrapperPool = 44   // Forward/Backward search the top candidates by MI
+  private val MaxTrainRows = 350 // evalSet's train and validation subsamples
+  private val MaxValidRows = 250
+
   /** True when the selector applies to the task (Chi2/Gini are
     * classification-only — the paper leaves those cells blank for the
     * regression dataset).
@@ -38,18 +42,17 @@ object FeatureSelectors {
   def select(
       sel: Selector,
       base: Array[Array[Double]],
-      candidates: Vector[CandidateFeature],
+      candidates: Vector[Array[Double]],
       y: Array[Double],
       task: Task,
       modelKind: ModelKind,
       split: Splits.Split,
       k: Int,
       seed: Long = 7L,
-      wrapperPool: Int = 44,
   ): Vector[Int] = {
     val fitRows = split.train ++ split.valid
     def scoreBy(f: Array[Double] => Double): Vector[Int] =
-      candidates.indices.sortBy(i => -f(fitRows.map(candidates(i).values(_)))).take(k).toVector
+      candidates.indices.sortBy(i => -f(fitRows.map(candidates(i)))).take(k).toVector
     val yFit = fitRows.map(y)
 
     sel match {
@@ -59,19 +62,19 @@ object FeatureSelectors {
       case LRSel   => byLrImportance(base, candidates, y, task, split, k, seed)
       case GBDTSel => byTreeImportance(base, candidates, y, task, split, k, seed)
       case ForwardSel =>
-        forward(base, candidates, y, task, modelKind, split, k, seed, wrapperPool)
+        forward(base, candidates, y, task, modelKind, split, k, seed)
       case BackwardSel =>
-        backward(base, candidates, y, task, modelKind, split, k, seed, wrapperPool)
+        backward(base, candidates, y, task, modelKind, split, k, seed)
     }
   }
 
   /** |weight| of each candidate column in a linear model over base+all
     * candidates (standardized internally, so magnitudes are comparable).
     */
-  private def byLrImportance(base: Array[Array[Double]], candidates: Vector[CandidateFeature],
+  private def byLrImportance(base: Array[Array[Double]], candidates: Vector[Array[Double]],
                              y: Array[Double], task: Task, split: Splits.Split,
                              k: Int, seed: Long): Vector[Int] = {
-    val data = DenseData.appendColumns(base, candidates.map(_.values), y)
+    val data = DenseData.appendColumns(base, candidates, y)
     val train = data.select(split.train)
     val trainer: Trainer = task match {
       case Regression => new RidgeRegressionTrainer()
@@ -99,17 +102,17 @@ object FeatureSelectors {
   /** Split-count importances from a small boosted-tree ensemble fit on
     * base+candidates (the "GBDT selector").
     */
-  private def byTreeImportance(base: Array[Array[Double]], candidates: Vector[CandidateFeature],
+  private def byTreeImportance(base: Array[Array[Double]], candidates: Vector[Array[Double]],
                                y: Array[Double], task: Task, split: Splits.Split,
                                k: Int, seed: Long): Vector[Int] = {
-    val data = DenseData.appendColumns(base, candidates.map(_.values), y).select(split.train)
+    val data = DenseData.appendColumns(base, candidates, y).select(split.train)
     val order = RegressionTree.presort(data.x)
     val imp = new Array[Double](data.numCols)
     Task.headTargets(task, data.y).zipWithIndex.foreach { case (t, ti) =>
       val resid = t.clone()
       var round = 0
       while (round < 8) {
-        val tree = new RegressionTree(maxDepth = 3, minSamplesLeaf = 4, seed = seed + 97L * (ti * 8 + round))
+        val tree = new RegressionTree(maxDepth = 3, seed = seed + 97L * (ti * 8 + round))
         tree.fit(data.x, resid, order)
         tree.addImportance(imp)
         var i = 0
@@ -122,12 +125,12 @@ object FeatureSelectors {
   }
 
   /** Greedy forward selection on validation metric; the candidate pool is
-    * pre-trimmed to `wrapperPool` by MI to bound model fits.
+    * pre-trimmed to [[WrapperPool]] by MI to bound model fits.
     */
-  private def forward(base: Array[Array[Double]], candidates: Vector[CandidateFeature],
+  private def forward(base: Array[Array[Double]], candidates: Vector[Array[Double]],
                       y: Array[Double], task: Task, modelKind: ModelKind, split: Splits.Split,
-                      k: Int, seed: Long, wrapperPool: Int): Vector[Int] = {
-    val pool = poolByMi(candidates, y, task, split, wrapperPool)
+                      k: Int, seed: Long): Vector[Int] = {
+    val pool = poolByMi(candidates, y, task, split)
     val selected = scala.collection.mutable.ArrayBuffer.empty[Int]
     val remaining = scala.collection.mutable.LinkedHashSet(pool: _*)
     while (selected.size < math.min(k, pool.size)) {
@@ -141,10 +144,10 @@ object FeatureSelectors {
   }
 
   /** Backward elimination from the (MI-trimmed) pool down to `k`. */
-  private def backward(base: Array[Array[Double]], candidates: Vector[CandidateFeature],
+  private def backward(base: Array[Array[Double]], candidates: Vector[Array[Double]],
                        y: Array[Double], task: Task, modelKind: ModelKind, split: Splits.Split,
-                       k: Int, seed: Long, wrapperPool: Int): Vector[Int] = {
-    val pool = poolByMi(candidates, y, task, split, wrapperPool)
+                       k: Int, seed: Long): Vector[Int] = {
+    val pool = poolByMi(candidates, y, task, split)
     val selected = scala.collection.mutable.ArrayBuffer(pool: _*)
     while (selected.size > k) {
       // Remove the feature whose removal yields the best remaining metric.
@@ -156,13 +159,13 @@ object FeatureSelectors {
     selected.toVector
   }
 
-  private def poolByMi(candidates: Vector[CandidateFeature], y: Array[Double], task: Task,
-                       split: Splits.Split, cap: Int): Vector[Int] = {
+  private def poolByMi(candidates: Vector[Array[Double]], y: Array[Double], task: Task,
+                       split: Splits.Split): Vector[Int] = {
     val rowsIdx = split.train ++ split.valid
     val yFit = rowsIdx.map(y)
     candidates.indices
-      .sortBy(i => -Association.mutualInformation(rowsIdx.map(candidates(i).values(_)), yFit, task))
-      .take(cap).toVector
+      .sortBy(i => -Association.mutualInformation(rowsIdx.map(candidates(i)), yFit, task))
+      .take(WrapperPool).toVector
   }
 
   /** Validation metric (higher better; RMSE negated) of base + chosen set.
@@ -172,12 +175,12 @@ object FeatureSelectors {
     * already shuffled) — a standard wrapper-selection speedup that leaves
     * the selection semantics intact.
     */
-  def evalSet(base: Array[Array[Double]], candidates: Vector[CandidateFeature], chosen: Vector[Int],
+  def evalSet(base: Array[Array[Double]], candidates: Vector[Array[Double]], chosen: Vector[Int],
               y: Array[Double], task: Task, modelKind: ModelKind, split: Splits.Split,
-              seed: Long, maxTrainRows: Int = 350, maxValidRows: Int = 250): Double = {
-    val data = DenseData.appendColumns(base, chosen.map(candidates(_).values), y)
+              seed: Long): Double = {
+    val data = DenseData.appendColumns(base, chosen.map(candidates), y)
     val m = Models.splitMetric(modelKind, task, data,
-      split.train.take(maxTrainRows), split.valid.take(maxValidRows), seed, fast = true)
+      split.train.take(MaxTrainRows), split.valid.take(MaxValidRows), seed, fast = true)
     if (Metrics.higherIsBetter(task)) m else -m
   }
 }

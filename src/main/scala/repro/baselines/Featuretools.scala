@@ -2,9 +2,6 @@ package repro.baselines
 
 import repro.core.{QuerySpec, QueryTemplate}
 
-/** A named materialized feature column aligned to the training rows. */
-final case class CandidateFeature(name: String, spec: QuerySpec, values: Array[Double])
-
 /** The Featuretools baseline (Kanter & Veeramachaneni, DSAA'15) as used by
   * the paper: depth-1 Deep Feature Synthesis over one relevant table —
   * every `agg(a)` group-by query on the full foreign key, **no

@@ -26,7 +26,8 @@ object QueryTemplateIdentification {
     */
   final case class Node(pAttrs: Vector[String], score: Double)
 
-  final case class Result(nodes: Vector[Node], templatesEvaluated: Int) {
+  final case class Result(nodes: Vector[Node]) {
+    def templatesEvaluated: Int = nodes.size
     /** All nodes ranked by effectiveness descending. */
     def ranked: Vector[Node] = nodes.sortBy(-_.score)
     def topN(n: Int): Vector[Vector[String]] = ranked.take(n).map(_.pAttrs)
@@ -84,7 +85,7 @@ object QueryTemplateIdentification {
       depth += 1
     }
 
-    Result(evaluated.toVector, evaluated.size)
+    Result(evaluated.toVector)
   }
 
   /** Ridge regression over one-hot encodings → predicted proxy score. */

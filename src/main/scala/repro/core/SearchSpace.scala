@@ -25,8 +25,7 @@ object SearchSpace {
     * StringType (top `maxCats` values by frequency, ties broken by value);
     * numeric/datetime-as-number = `numQuantiles` distinct quantile cuts.
     */
-  def domains(relevant: DataFrame, attrs: Seq[String],
-              maxCats: Int = 12, numQuantiles: Int = 8): Map[String, AttrDomain] = {
+  def domains(relevant: DataFrame, attrs: Seq[String], maxCats: Int, numQuantiles: Int): Map[String, AttrDomain] = {
     attrs.map { a =>
       val field = relevant.schema.fields.find(_.name == a)
         .getOrElse(throw new IllegalArgumentException(s"attr $a not in relevant table"))

@@ -4,11 +4,11 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.core.AggFunc
 import repro.ml.{BinaryClassification, MultiClassification, Regression, Task}
 
 /** One reproduction dataset: the training table, the relevant table, and
-  * the query-template ingredients of paper Table II / V.
+  * the query-template ingredients of paper Table II / V. Every dataset's
+  * templates aggregate with all of `AggFunc.all`.
   */
 final case class TaskDef(
     name: String,
@@ -18,7 +18,6 @@ final case class TaskDef(
     baseFeatures: Vector[String],
     label: String,
     task: Task,
-    aggFuncs: Vector[AggFunc],
     aggAttrs: Vector[String],
     predAttrs: Vector[String],
 ) {
@@ -137,7 +136,6 @@ object Datasets {
 
     TaskDef("Tmall", train, logs, Vector("user_id", "merchant_id"),
       Vector("age_range", "gender"), "label", BinaryClassification,
-      AggFunc.all,
       aggAttrs = Vector("item_price", "quantity", "discount", "time_stamp", "item_id", "brand_id"),
       predAttrs = Vector("action_type", "time_stamp", "cat_id", "brand_id", "item_id"))
   }
@@ -173,7 +171,6 @@ object Datasets {
 
     TaskDef("Instacart", train, lines, Vector("user_id"),
       Vector("total_orders", "avg_days_between"), "label", BinaryClassification,
-      AggFunc.all,
       aggAttrs = Vector("price", "days_since_prior", "order_hour", "order_dow", "reordered", "product_id"),
       predAttrs = Vector("department", "reordered", "order_dow", "order_hour",
         "days_since_prior", "aisle", "product_id", "price"))
@@ -215,7 +212,6 @@ object Datasets {
 
     TaskDef("Student", train, events, Vector("session_id"),
       Vector("grade_level", "prior_score"), "label", BinaryClassification,
-      AggFunc.all,
       aggAttrs = Vector("elapsed_time", "hover_duration", "level", "page",
         "coor_x", "coor_y", "music", "clicks"),
       predAttrs = Vector("event_name", "level", "room", "page", "music",
@@ -254,7 +250,6 @@ object Datasets {
 
     TaskDef("Merchant", train, txns, Vector("merchant_id"),
       Vector("city_id", "active_months"), "target", Regression,
-      AggFunc.all,
       aggAttrs = Vector("purchase_amount", "month_lag", "installments", "state",
         "purchase_dow", "purchase_hour", "subsector"),
       predAttrs = Vector("category", "month_lag", "installments", "state",
@@ -281,7 +276,6 @@ object Datasets {
 
     TaskDef("Covtype", train, relevant, Vector("data_index"),
       baseFeatures = (1 to 12).map(i => s"f$i").toVector, "label", MultiClassification(4),
-      AggFunc.all,
       aggAttrs = (1 to 12).map(i => s"f$i").toVector,
       predAttrs = (1 to 10).map(i => s"f$i").toVector)
   }
@@ -312,7 +306,6 @@ object Datasets {
 
     TaskDef("Household", train, relevant, Vector("data_index"),
       baseFeatures = (1 to 5).map(i => s"b$i").toVector, "label", MultiClassification(4),
-      AggFunc.all,
       aggAttrs = (1 to 12).map(i => s"r$i").toVector,
       predAttrs = ((1 to 8).map(i => s"r$i") ++ Seq("c1", "c2")).toVector)
   }

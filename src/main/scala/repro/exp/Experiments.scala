@@ -5,7 +5,7 @@ import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{AutoFeature, FeatureSelectors}
 import repro.baselines.FeatureSelectors.{BackwardSel, ForwardSel}
-import repro.core.{FeatAugConfig, SearchBudget}
+import repro.core.{AggFunc, FeatAugConfig, SearchBudget}
 import repro.data.Datasets
 import repro.ml._
 import repro.proxy.{LRProxy, SCProxy}
@@ -100,7 +100,7 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
 
   /** A dataset's template: |F|, # of A, # of predicate attributes, keys, # of templates. */
   private def templateCells(p: Prepared): Vector[String] =
-    Vector(p.td.aggFuncs.size.toString, p.td.aggAttrs.size.toString, p.td.predAttrs.size.toString,
+    Vector(AggFunc.all.size.toString, p.td.aggAttrs.size.toString, p.td.predAttrs.size.toString,
       p.td.keys.mkString("+"), s"2^${p.td.predAttrs.size}")
 
   /** Table I: one-to-many dataset statistics. */

@@ -14,7 +14,7 @@ object Methods {
 
   /** Plain Featuretools: first k candidates in enumeration order. */
   def runFT(p: Prepared, mk: ModelKind): Double =
-    p.finalMetric(mk, p.ftCandidates.take(p.budget.numFeatures).map(_.values))
+    p.finalMetric(mk, p.ftCandidates.take(p.budget.numFeatures))
 
   /** Featuretools + a selector; None when the selector doesn't apply to
     * the task (Chi2/Gini on regression — the paper's blank cells).
@@ -24,7 +24,7 @@ object Methods {
     else {
       val idx = FeatureSelectors.select(
         sel, p.baseX, p.ftCandidates, p.y, p.td.task, mk, p.split, p.budget.numFeatures)
-      Some(p.finalMetric(mk, idx.map(p.ftCandidates(_).values)))
+      Some(p.finalMetric(mk, idx.map(p.ftCandidates)))
     }
   }
 
@@ -46,13 +46,13 @@ object Methods {
   def runARDA(p: Prepared, mk: ModelKind, seed: Long = 3L): Double = {
     val idx = ARDA.select(p.baseX, p.directCandidates, p.y, p.td.task, p.split,
       p.budget.numFeatures, seed = seed)
-    p.finalMetric(mk, idx.map(p.directCandidates(_).values))
+    p.finalMetric(mk, idx.map(p.directCandidates))
   }
 
   /** AutoFeature with the MAB or DQN agent (one-to-one scenario only). */
   def runAutoFeature(p: Prepared, mk: ModelKind, agent: AutoFeature.Agent, seed: Long = 4L): Double = {
     val idx = AutoFeature.select(agent, p.baseX, p.directCandidates, p.y, p.td.task, mk,
       p.split, p.budget.numFeatures, seed = seed)
-    p.finalMetric(mk, idx.map(p.directCandidates(_).values))
+    p.finalMetric(mk, idx.map(p.directCandidates))
   }
 }

@@ -2,7 +2,7 @@ package repro.exp
 
 import scala.collection.mutable
 import org.apache.spark.sql.functions.col
-import repro.baselines.{CandidateFeature, Featuretools}
+import repro.baselines.Featuretools
 import repro.core._
 import repro.data.TaskDef
 import repro.ml._
@@ -32,26 +32,22 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
     SearchSpace.domains(td.relevant, td.predAttrs, budget.maxCats, budget.numQuantiles)
   val featureStore: mutable.Map[String, Array[Double]] = mutable.HashMap.empty
 
-  def template(p: Vector[String]): QueryTemplate = QueryTemplate(td.aggFuncs, td.aggAttrs, p, td.keys)
+  def template(p: Vector[String]): QueryTemplate = QueryTemplate(AggFunc.all, td.aggAttrs, p, td.keys)
   def codec(p: Vector[String]): QueryVectorCodec = new QueryVectorCodec(template(p), domains)
 
   def evaluator(modelKind: ModelKind, proxy: ProxyKind, seed: Long): Evaluator =
     new Evaluator(executor, baseX, y, td.task, modelKind, split, proxy, seed, featureStore = featureStore)
 
   /** The full Featuretools candidate pool (predicate-free agg queries). */
-  lazy val ftCandidates: Vector[CandidateFeature] =
-    Featuretools.candidateSpecs(template(Vector.empty)).map { q =>
-      CandidateFeature(s"${q.agg.name}_${q.aggAttr}", q, feature(q))
-    }
+  lazy val ftCandidates: Vector[Array[Double]] =
+    Featuretools.candidateSpecs(template(Vector.empty)).map(feature)
 
   /** Direct-join candidates (each relevant column as-is, via a one-to-one
-    * AVG aggregate) for the ARDA / AutoFeature baselines.
+    * AVG aggregate) for the ARDA / AutoFeature baselines, in
+    * [[TaskDef.directJoinAttrs]] order.
     */
-  lazy val directCandidates: Vector[CandidateFeature] =
-    td.directJoinAttrs.map { a =>
-      val q = QuerySpec(AggFunc.Avg, a, Vector.empty, td.keys)
-      CandidateFeature(s"direct_$a", q, feature(q))
-    }
+  lazy val directCandidates: Vector[Array[Double]] =
+    td.directJoinAttrs.map(a => feature(QuerySpec(AggFunc.Avg, a, Vector.empty, td.keys)))
 
   /** Materialize a query's feature through the shared store, holding the
     * store's monitor as [[Evaluator.feature]] does (DESIGN.md §5).

@@ -6,8 +6,8 @@ import scala.util.Random
 /** Tree-structured Parzen Estimator over discrete dimensions, from scratch
   * (the paper builds on Hyperopt's TPE; no Python stack is available here).
   *
-  * Observations are split at the loss quantile `gamma` into a "good" and a
-  * "bad" set (Section V-B). Each dimension gets a smoothed categorical
+  * Observations are split at the loss quantile [[TPE.Gamma]] into a "good"
+  * and a "bad" set (Section V-B). Each dimension gets a smoothed categorical
   * Parzen estimator per set; candidates are sampled from the good
   * distribution and ranked by the expected-improvement surrogate
   * sum(log pGood - log pBad). `warmStart` observations seed the surrogate,
@@ -15,15 +15,8 @@ import scala.util.Random
   * TPE round on the low-cost proxy produces top-k queries whose real
   * evaluations become the second round's initial observations.
   */
-final class TPE(
-    space: ParamSpace,
-    seed: Long = 0L,
-    gamma: Double = 0.2,
-    nStartup: Int = 5,
-    nCandidates: Int = 24,
-    priorWeight: Double = 1.0,
-) {
-  require(gamma > 0 && gamma < 1, s"gamma in (0,1), got $gamma")
+final class TPE(space: ParamSpace, seed: Long = 0L) {
+  import TPE._
 
   /** Minimize `objective` for `iterations` evaluations; `warmStart` points
     * count as prior observations but are not re-evaluated.
@@ -37,21 +30,20 @@ final class TPE(
     var it = 0
     while (it < iterations) {
       val point =
-        if (history.size < nStartup) space.randomPoint(rnd)
+        if (history.size < NStartup) space.randomPoint(rnd)
         else suggest(history.toVector, rnd)
       history += ((point, objective(point)))
       it += 1
     }
     // Report only points this search evaluated (warm-start evals were paid
-    // by the caller), unless everything came from the warm start.
-    val evaluated = history.drop(warmStart.size).toVector
-    SearchResult(if (evaluated.nonEmpty) evaluated else history.toVector)
+    // by the caller).
+    SearchResult(history.drop(warmStart.size).toVector)
   }
 
   /** Propose the next point given the observation history (exposed for tests). */
   def suggest(history: Vector[(Vector[Int], Double)], rnd: Random): Vector[Int] = {
     val sorted = history.sortBy(_._2)
-    val nGood = math.max(1, math.ceil(gamma * sorted.size).toInt)
+    val nGood = math.max(1, math.ceil(Gamma * sorted.size).toInt)
     val good = sorted.take(nGood).map(_._1)
     val bad = sorted.drop(nGood).map(_._1)
     val goodDist = space.dims.indices.map(d => parzen(d, good)).toVector
@@ -60,7 +52,7 @@ final class TPE(
     var best: Vector[Int] = null
     var bestScore = Double.NegativeInfinity
     var c = 0
-    while (c < nCandidates) {
+    while (c < NCandidates) {
       val cand = goodDist.map(sample(_, rnd))
       var score = 0.0
       var d = 0
@@ -78,7 +70,7 @@ final class TPE(
   private def parzen(d: Int, points: Vector[Vector[Int]]): Array[Double] = {
     val size = space.dims(d).size
     val counts = new Array[Double](size)
-    java.util.Arrays.fill(counts, priorWeight / size)
+    java.util.Arrays.fill(counts, PriorWeight / size)
     points.foreach(p => counts(p(d)) += 1.0)
     val total = counts.sum
     counts.map(_ / total)
@@ -95,6 +87,13 @@ final class TPE(
     }
     dist.length - 1
   }
+}
+
+object TPE {
+  private val Gamma = 0.2       // loss quantile separating good from bad observations
+  private val NStartup = 5      // uniform draws before the surrogate takes over
+  private val NCandidates = 24  // samples from the good density ranked per suggestion
+  private val PriorWeight = 1.0 // pseudo-count spread over each dimension's values
 }
 
 /** Uniform random search over the same space — the paper's "Random" baseline

@@ -21,15 +21,10 @@ import scala.util.Random
   */
 final class RegressionTree(
     maxDepth: Int = 5,
-    minSamplesLeaf: Int = 5,
     featureFraction: Double = 1.0,
     seed: Long = 11L,
 ) {
-
-  /** A fitted tree node: either a split or a leaf value. */
-  sealed trait Node
-  final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
-  final case class Leaf(value: Double) extends Node
+  import RegressionTree._
 
   private var rootOpt: Option[Node] = None
   private val rnd = new Random(seed)
@@ -80,7 +75,7 @@ final class RegressionTree(
 
     def build(lo: Int, hi: Int, depth: Int): Node = {
       val size = hi - lo
-      if (depth >= maxDepth || size < 2 * minSamplesLeaf) return Leaf(mean(lo, hi))
+      if (depth >= maxDepth || size < 2 * MinSamplesLeaf) return Leaf(mean(lo, hi))
       val feats = rnd.shuffle((0 until m).toList).take(nFeat)
 
       // Best split = max variance reduction, found with one sweep of each
@@ -104,7 +99,7 @@ final class RegressionTree(
           ls += yi; ls2 += yi * yi
           val cur = col(sorted(lo + i))
           val nxt = col(sorted(lo + i + 1))
-          if (cur != nxt && i + 1 >= minSamplesLeaf && size - i - 1 >= minSamplesLeaf) {
+          if (cur != nxt && i + 1 >= MinSamplesLeaf && size - i - 1 >= MinSamplesLeaf) {
             val nl = (i + 1).toDouble
             val nr = n - nl
             val rs = ts - ls
@@ -162,6 +157,13 @@ final class RegressionTree(
 }
 
 object RegressionTree {
+
+  private[ml] val MinSamplesLeaf = 4 // the fewest rows a leaf holds, in every tree builder
+
+  /** A fitted tree node: either a split or a leaf value. */
+  sealed trait Node
+  final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
+  final case class Leaf(value: Double) extends Node
 
   /** Per feature, the rows of `x` ordered by `(value, row)`, the order
     * [[RegressionTree.fit]] takes.

@@ -17,14 +17,8 @@ import scala.util.Random
   * binary AUC datasets and the Merchant regression dataset). Trained with
   * per-sample SGD + momentum; deterministic in `seed`.
   */
-final class DeepFMTrainer(
-    task: Task,
-    embedDim: Int = 4,
-    hidden: Int = 16,
-    epochs: Int = 25,
-    lr: Double = 0.02,
-    seed: Long = 23L,
-) extends Trainer {
+final class DeepFMTrainer(task: Task, epochs: Int = 25, seed: Long = 23L) extends Trainer {
+  import DeepFMTrainer._
   require(task == BinaryClassification || task == Regression,
     "DeepFM supports binary classification and regression only")
 
@@ -32,7 +26,7 @@ final class DeepFMTrainer(
     // Wide inputs need a smaller step; if training still diverges (any
     // non-finite prediction), retry with a 5x smaller rate.
     val width = math.max(1, data.numCols)
-    var rate = lr / math.sqrt(math.max(1.0, width / 8.0))
+    var rate = LearningRate / math.sqrt(math.max(1.0, width / 8.0))
     var attempt = fitOnce(data, rate)
     var tries = 0
     while (tries < 3 && !finitePredictions(attempt, data)) {
@@ -51,23 +45,23 @@ final class DeepFMTrainer(
     val xs = std.transform(data.x)
     val n = data.numRows
     val m = data.numCols
-    val k = embedDim
+    val k = EmbedDim
     val rnd = new Random(seed)
     def init(scale: Double) = rnd.nextGaussian() * scale
 
     val w0 = Array.fill(m)(init(0.01))       // first-order weights
     var b0 = 0.0
     val v = Array.fill(m, k)(init(0.05))     // embeddings
-    val w1 = Array.fill(hidden, m * k)(init(math.sqrt(2.0 / (m * k)))) // deep layer 1
-    val b1 = Array.fill(hidden)(0.0)
-    val w2 = Array.fill(hidden)(init(0.05))  // deep output
+    val w1 = Array.fill(Hidden, m * k)(init(math.sqrt(2.0 / (m * k)))) // deep layer 1
+    val b1 = Array.fill(Hidden)(0.0)
+    val w2 = Array.fill(Hidden)(init(0.05))  // deep output
     var b2 = 0.0
 
     // Momentum buffers.
     val mw0 = Array.fill(m)(0.0); var mb0 = 0.0
     val mv = Array.fill(m, k)(0.0)
-    val mw1 = Array.fill(hidden, m * k)(0.0); val mb1 = Array.fill(hidden)(0.0)
-    val mw2 = Array.fill(hidden)(0.0); var mb2 = 0.0
+    val mw1 = Array.fill(Hidden, m * k)(0.0); val mb1 = Array.fill(Hidden)(0.0)
+    val mw2 = Array.fill(Hidden)(0.0); var mb2 = 0.0
     val mom = 0.9
     // Regression targets can be large; scale lr by target variance guard.
     val yScale = task match {
@@ -102,9 +96,9 @@ final class DeepFMTrainer(
       var first = b0
       i = 0
       while (i < m) { first += w0(i) * x(i); i += 1 }
-      val h = new Array[Double](hidden)
+      val h = new Array[Double](Hidden)
       var j = 0
-      while (j < hidden) {
+      while (j < Hidden) {
         var s = b1(j)
         var p = 0
         while (p < m * k) { s += w1(j)(p) * u(p); p += 1 }
@@ -113,7 +107,7 @@ final class DeepFMTrainer(
       }
       var deep = b2
       j = 0
-      while (j < hidden) { deep += w2(j) * h(j); j += 1 }
+      while (j < Hidden) { deep += w2(j) * h(j); j += 1 }
       (first + fm + deep, sf, u, h)
     }
 
@@ -137,9 +131,9 @@ final class DeepFMTrainer(
         val delta = math.max(-4.0, math.min(4.0, delta0))
         // deep output layer
         mb2 = mom * mb2 - lr * delta; b2 += mb2
-        val dh = new Array[Double](hidden)
+        val dh = new Array[Double](Hidden)
         var j = 0
-        while (j < hidden) {
+        while (j < Hidden) {
           mw2(j) = mom * mw2(j) - lr * delta * h(j)
           dh(j) = if (h(j) > 0) delta * w2(j) else 0.0
           w2(j) += mw2(j)
@@ -148,7 +142,7 @@ final class DeepFMTrainer(
         // gradient wrt embeddings u from the deep layer
         val du = new Array[Double](m * k)
         j = 0
-        while (j < hidden) {
+        while (j < Hidden) {
           if (dh(j) != 0.0) {
             var p = 0
             while (p < m * k) {
@@ -194,4 +188,10 @@ final class DeepFMTrainer(
       }
     }
   }
+}
+
+object DeepFMTrainer {
+  private val EmbedDim = 4 // k, every field's embedding size
+  private val Hidden = 16  // units of the deep component's ReLU layer
+  private val LearningRate = 0.02
 }

@@ -9,20 +9,8 @@ package repro.ml
   *  - binary: logistic loss, trees fit to (y - sigmoid(F)), sigmoid head
   *  - multi-class: one-vs-rest logistic boosters, softmax-free normalized head
   */
-final class GradientBoostingTrainer(
-    task: Task,
-    numTrees: Int = 25,
-    maxDepth: Int = 3,
-    learningRate: Double = 0.2,
-    minSamplesLeaf: Int = 4,
-    seed: Long = 17L,
-) extends Trainer {
-
-  /** One boosted head: base score + shrunken trees fit to gradients. */
-  private final case class Head(base: Double, trees: Array[RegressionTree]) {
-    def raw(row: Array[Double]): Double =
-      base + trees.iterator.map(_.predict(row)).sum * learningRate
-  }
+final class GradientBoostingTrainer(task: Task, numTrees: Int = 25, seed: Long = 17L) extends Trainer {
+  import GradientBoostingTrainer._
 
   override def fit(data: DenseData): Predictor = {
     // Every tree of every head fits the same x, so one presort serves all.
@@ -57,13 +45,24 @@ final class GradientBoostingTrainer(
       val grad = Array.tabulate(n) { i =>
         if (logistic) y(i) - sigmoid(f(i)) else y(i) - f(i)
       }
-      val tree = new RegressionTree(maxDepth, minSamplesLeaf, featureFraction = 1.0, seed = s + 101L * t)
+      val tree = new RegressionTree(MaxDepth, featureFraction = 1.0, seed = s + 101L * t)
       tree.fit(x, grad, order)
       var i = 0
-      while (i < n) { f(i) += learningRate * tree.predict(x(i)); i += 1 }
+      while (i < n) { f(i) += LearningRate * tree.predict(x(i)); i += 1 }
       trees(t) = tree
       t += 1
     }
     Head(base, trees)
+  }
+}
+
+object GradientBoostingTrainer {
+  private[ml] val MaxDepth = 3
+  private[ml] val LearningRate = 0.2 // shrinkage of every tree's output
+
+  /** One boosted head: base score + shrunken trees fit to gradients. */
+  private final case class Head(base: Double, trees: Array[RegressionTree]) {
+    def raw(row: Array[Double]): Double =
+      base + trees.iterator.map(_.predict(row)).sum * LearningRate
   }
 }

@@ -20,13 +20,8 @@ trait Trainer {
   *
   * This is the paper's "LR" downstream model and the LR low-cost proxy.
   */
-final class LogisticRegressionTrainer(
-    task: Task,
-    epochs: Int = 150,
-    lr: Double = 0.5,
-    l2: Double = 1e-4,
-    seed: Long = 7L,
-) extends Trainer {
+final class LogisticRegressionTrainer(task: Task, epochs: Int = 150, seed: Long = 7L) extends Trainer {
+  import LogisticRegressionTrainer._
   require(task != Regression, "use RidgeRegressionTrainer for regression")
 
   override def fit(data: DenseData): Predictor = {
@@ -76,11 +71,11 @@ final class LogisticRegressionTrainer(
       }
       var c = 0
       while (c < k) {
-        vb(c) = mom * vb(c) - lr * gb(c) / n
+        vb(c) = mom * vb(c) - LearningRate * gb(c) / n
         b(c) += vb(c)
         var j = 0
         while (j < m) {
-          vw(c)(j) = mom * vw(c)(j) - lr * (gw(c)(j) / n + l2 * w(c)(j))
+          vw(c)(j) = mom * vw(c)(j) - LearningRate * (gw(c)(j) / n + L2 * w(c)(j))
           w(c)(j) += vw(c)(j)
           j += 1
         }
@@ -92,6 +87,11 @@ final class LogisticRegressionTrainer(
       override def scores(x: Array[Double]): Array[Double] = probs(std.transform(Array(x))(0))
     }
   }
+}
+
+object LogisticRegressionTrainer {
+  private val LearningRate = 0.5
+  private val L2 = 1e-4
 }
 
 /** Ridge linear regression solved in closed form (normal equations with an

@@ -10,14 +10,8 @@ import scala.util.Random
   * distribution. This gives calibrated-ish scores so AUC is meaningful,
   * which plain majority voting would not.
   */
-final class RandomForestTrainer(
-    task: Task,
-    numTrees: Int = 15,
-    maxDepth: Int = 6,
-    minSamplesLeaf: Int = 4,
-    featureFraction: Double = 0.7,
-    seed: Long = 13L,
-) extends Trainer {
+final class RandomForestTrainer(task: Task, numTrees: Int = 15, seed: Long = 13L) extends Trainer {
+  import RandomForestTrainer._
 
   override def fit(data: DenseData): Predictor = {
     val ranks = RegressionTree.ranks(data.x)
@@ -46,9 +40,14 @@ final class RandomForestTrainer(
     val n = x.length
     val trees = (0 until numTrees).map { t =>
       val idx = Array.fill(n)(rnd.nextInt(n)) // bootstrap sample
-      new RegressionTree(maxDepth, minSamplesLeaf, featureFraction, s + 31L * t)
+      new RegressionTree(MaxDepth, FeatureFraction, s + 31L * t)
         .fit(idx.map(x), idx.map(y), RegressionTree.presort(ranks, idx))
     }.toArray
     row => trees.iterator.map(_.predict(row)).sum / numTrees
   }
+}
+
+object RandomForestTrainer {
+  private[ml] val MaxDepth = 6
+  private[ml] val FeatureFraction = 0.7 // the share of features each split considers
 }

@@ -8,18 +8,20 @@ import repro.ml.{BinaryClassification, Metrics, MultiClassification, Regression,
   * effectiveness proxy (MI, Spearman — Section V-C, VI-C, Table VIII) and
   * (2) the Featuretools+Selector baselines (MI / Chi2 / Gini). All scores
   * are "higher is better". Continuous variables are discretized with
-  * equal-frequency binning over observed values.
+  * equal-frequency binning over observed values into [[Bins]] bins.
   */
 object Association {
 
-  /** Equal-frequency bin ids (0..bins-1). Constant columns map to bin 0;
+  private[proxy] val Bins = 10
+
+  /** Equal-frequency bin ids (0 until [[Bins]]). Constant columns map to bin 0;
     * ties share a bin (bin edges are quantile values).
     */
-  def equalFreqBins(values: Array[Double], bins: Int = 10): Array[Int] = {
+  def equalFreqBins(values: Array[Double]): Array[Int] = {
     require(values.nonEmpty, "no values to bin")
     val sorted = values.sorted
-    val edges = (1 until bins)
-      .map(b => sorted((b.toLong * (values.length - 1) / bins).toInt))
+    val edges = (1 until Bins)
+      .map(b => sorted((b.toLong * (values.length - 1) / Bins).toInt))
       .distinct
       .toArray
     values.map { v =>
@@ -32,15 +34,15 @@ object Association {
   /** Label discretization per task: class ids for classification,
     * equal-frequency bins for regression.
     */
-  def labelBins(y: Array[Double], task: Task, bins: Int = 10): Array[Int] = task match {
+  def labelBins(y: Array[Double], task: Task): Array[Int] = task match {
     case BinaryClassification | MultiClassification(_) => y.map(_.toInt)
-    case Regression                                    => equalFreqBins(y, bins)
+    case Regression                                    => equalFreqBins(y)
   }
 
   /** Mutual information (nats) between binned feature and binned label. */
-  def mutualInformation(feature: Array[Double], y: Array[Double], task: Task, bins: Int = 10): Double = {
+  def mutualInformation(feature: Array[Double], y: Array[Double], task: Task): Double = {
     require(feature.length == y.length && feature.nonEmpty, "aligned non-empty inputs required")
-    miFromBins(equalFreqBins(feature, bins), labelBins(y, task, bins))
+    miFromBins(equalFreqBins(feature), labelBins(y, task))
   }
 
   /** MI over pre-binned variables. */
@@ -84,8 +86,8 @@ object Association {
   /** Chi-square statistic between binned feature and class label
     * (classification selectors only).
     */
-  def chi2(feature: Array[Double], y: Array[Double], bins: Int = 10): Double = {
-    val xb = equalFreqBins(feature, bins)
+  def chi2(feature: Array[Double], y: Array[Double]): Double = {
+    val xb = equalFreqBins(feature)
     val yb = y.map(_.toInt)
     val n = xb.length.toDouble
     val xs = xb.distinct.sorted
@@ -109,8 +111,8 @@ object Association {
   /** Gini-impurity decrease of the label when partitioned by feature bins
     * (classification selectors only).
     */
-  def giniGain(feature: Array[Double], y: Array[Double], bins: Int = 10): Double = {
-    val xb = equalFreqBins(feature, bins)
+  def giniGain(feature: Array[Double], y: Array[Double]): Double = {
+    val xb = equalFreqBins(feature)
     val yb = y.map(_.toInt)
     def gini(idx: Seq[Int]): Double = {
       if (idx.isEmpty) 0.0

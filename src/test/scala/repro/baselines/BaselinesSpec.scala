@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{AggFunc, MiniData, QueryTemplate}
+import repro.core.{AggFunc, MiniData}
 import repro.ml._
 import scala.util.Random
 
@@ -36,16 +36,14 @@ class BaselinesSpec extends SparkSpec with MiniData {
   }
 
   // A synthetic candidate pool with one planted signal feature.
-  private def pool(n: Int, seed: Long): (Array[Array[Double]], Vector[CandidateFeature], Array[Double]) = {
+  // Candidate 0 is the signal, 1 a weak signal, 2 to 9 pure noise.
+  private def pool(n: Int, seed: Long): (Array[Array[Double]], Vector[Array[Double]], Array[Double]) = {
     val rnd = new Random(seed)
     val y = Array.fill(n)(if (rnd.nextBoolean()) 1.0 else 0.0)
     val base = Array.fill(n)(Array(rnd.nextGaussian()))
-    val tmpl = QueryTemplate(Vector(AggFunc.Sum), Vector("x"), Vector("p"), Vector("k"))
-    def cf(name: String, v: Array[Double]) =
-      CandidateFeature(name, Featuretools.candidateSpecs(tmpl).head, v)
-    val signal = cf("signal", y.map(v => v * 2 + rnd.nextGaussian() * 0.2))
-    val weak = cf("weak", y.map(v => v + rnd.nextGaussian() * 2.0))
-    val noise = (1 to 8).map(i => cf(s"noise$i", Array.fill(n)(rnd.nextGaussian()))).toVector
+    val signal = y.map(v => v * 2 + rnd.nextGaussian() * 0.2)
+    val weak = y.map(v => v + rnd.nextGaussian() * 2.0)
+    val noise = Vector.fill(8)(Array.fill(n)(rnd.nextGaussian()))
     (base, signal +: weak +: noise, y)
   }
 
@@ -117,7 +115,7 @@ class BaselinesSpec extends SparkSpec with MiniData {
   test("AutoFeature MAB selects improving features including the signal") {
     val (base, cands, y) = pool(200, 10)
     val idx = AutoFeature.select(AutoFeature.MAB, base, cands, y, BinaryClassification,
-      LRModel, poolSplit, k = 5, iterations = 30, seed = 10)
+      LRModel, poolSplit, k = 5, seed = 10)
     assert(idx.contains(0), s"MAB selected $idx")
     assert(idx.size <= 5 && idx.distinct == idx)
   }
@@ -125,16 +123,16 @@ class BaselinesSpec extends SparkSpec with MiniData {
   test("AutoFeature DQN selects a non-empty improving set") {
     val (base, cands, y) = pool(200, 11)
     val idx = AutoFeature.select(AutoFeature.DQN, base, cands, y, BinaryClassification,
-      LRModel, poolSplit, k = 5, iterations = 30, seed = 11)
+      LRModel, poolSplit, k = 5, seed = 11)
     assert(idx.nonEmpty && idx.size <= 5 && idx.distinct == idx)
   }
 
   test("AutoFeature is deterministic in seed") {
     val (base, cands, y) = pool(200, 12)
     val a = AutoFeature.select(AutoFeature.DQN, base, cands, y, BinaryClassification,
-      LRModel, poolSplit, k = 4, iterations = 20, seed = 3)
+      LRModel, poolSplit, k = 4, seed = 3)
     val b = AutoFeature.select(AutoFeature.DQN, base, cands, y, BinaryClassification,
-      LRModel, poolSplit, k = 4, iterations = 20, seed = 3)
+      LRModel, poolSplit, k = 4, seed = 3)
     assert(a == b)
   }
 

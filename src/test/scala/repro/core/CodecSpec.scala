@@ -30,7 +30,7 @@ class CodecSpec extends SparkSpec with MiniData with PropSupport {
   }
 
   test("domains reject unknown attributes") {
-    intercept[IllegalArgumentException](SearchSpace.domains(relevant, Seq("nope")))
+    intercept[IllegalArgumentException](SearchSpace.domains(relevant, Seq("nope"), maxCats = 6, numQuantiles = 5))
   }
 
   test("codec rejects predicate attrs without domains") {

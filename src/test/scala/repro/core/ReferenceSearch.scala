@@ -60,7 +60,7 @@ object ReferenceSearch {
       depth += 1
     }
 
-    Result(evaluated.toVector, evaluated.size)
+    Result(evaluated.toVector)
   }
 
   private def encode(attrs: Vector[String], p: Vector[String]): Array[Double] =

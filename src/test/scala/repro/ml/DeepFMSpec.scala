@@ -18,7 +18,7 @@ class DeepFMSpec extends AnyFunSuite {
     val rnd = new Random(2)
     val x = Array.fill(500)(Array(rnd.nextGaussian(), rnd.nextGaussian()))
     val y = x.map(r => if (r(0) * r(1) > 0) 1.0 else 0.0) // pure interaction
-    val pred = new DeepFMTrainer(BinaryClassification, epochs = 40, embedDim = 6).fit(DenseData(x, y))
+    val pred = new DeepFMTrainer(BinaryClassification, epochs = 40).fit(DenseData(x, y))
     val auc = Metrics.auc(y, pred.scoresAll(x).map(_(0)))
     assert(auc > 0.85, s"AUC $auc (a linear model would be ~0.5)")
   }

@@ -16,15 +16,16 @@ object ReferenceTrees {
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 
   def shape(t: RegressionTree): Shape = {
-    def walk(node: t.Node): Shape = node match {
-      case t.Split(f, thr, l, r) => (f, bits(thr)) :: walk(l) ::: walk(r)
-      case t.Leaf(v)             => List((-1, bits(v)))
+    def walk(node: RegressionTree.Node): Shape = node match {
+      case RegressionTree.Split(f, thr, l, r) => (f, bits(thr)) :: walk(l) ::: walk(r)
+      case RegressionTree.Leaf(v)             => List((-1, bits(v)))
     }
     walk(t.root)
   }
 
   /** CART that stably sorts each node's (ascending) rows by every scanned feature. */
-  final class SortPerNodeTree(maxDepth: Int, minSamplesLeaf: Int, featureFraction: Double, seed: Long) {
+  final class SortPerNodeTree(maxDepth: Int, featureFraction: Double, seed: Long) {
+    private val minSamplesLeaf = RegressionTree.MinSamplesLeaf
     private sealed trait Node
     private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
     private final case class Leaf(value: Double) extends Node
@@ -107,8 +108,7 @@ object ReferenceTrees {
   }
 
   /** [[RandomForestTrainer]] over [[SortPerNodeTree]]s. */
-  final class RandomForest(task: Task, numTrees: Int, maxDepth: Int, minSamplesLeaf: Int,
-                           featureFraction: Double, seed: Long) extends Trainer {
+  final class RandomForest(task: Task, numTrees: Int, seed: Long) extends Trainer {
     override def fit(data: DenseData): Predictor = {
       val heads: Array[Array[Double] => Double] = task match {
         case MultiClassification(k) =>
@@ -135,15 +135,15 @@ object ReferenceTrees {
       val n = x.length
       val trees = (0 until numTrees).map { t =>
         val idx = Array.fill(n)(rnd.nextInt(n))
-        new SortPerNodeTree(maxDepth, minSamplesLeaf, featureFraction, s + 31L * t).fit(idx.map(x), idx.map(y))
+        new SortPerNodeTree(RandomForestTrainer.MaxDepth, RandomForestTrainer.FeatureFraction, s + 31L * t).fit(idx.map(x), idx.map(y))
       }.toArray
       row => trees.iterator.map(_.predict(row)).sum / numTrees
     }
   }
 
   /** [[GradientBoostingTrainer]] over [[SortPerNodeTree]]s. */
-  final class GradientBoosting(task: Task, numTrees: Int, maxDepth: Int, learningRate: Double,
-                               minSamplesLeaf: Int, seed: Long) extends Trainer {
+  final class GradientBoosting(task: Task, numTrees: Int, seed: Long) extends Trainer {
+    private val learningRate = GradientBoostingTrainer.LearningRate
     private final case class Head(base: Double, trees: Array[SortPerNodeTree]) {
       def raw(row: Array[Double]): Double = base + trees.iterator.map(_.predict(row)).sum * learningRate
     }
@@ -182,7 +182,7 @@ object ReferenceTrees {
       val f = Array.fill(n)(base)
       val trees = Array.tabulate(numTrees) { t =>
         val grad = Array.tabulate(n)(i => if (logistic) y(i) - sigmoid(f(i)) else y(i) - f(i))
-        val tree = new SortPerNodeTree(maxDepth, minSamplesLeaf, featureFraction = 1.0, seed = s + 101L * t).fit(x, grad)
+        val tree = new SortPerNodeTree(GradientBoostingTrainer.MaxDepth, featureFraction = 1.0, seed = s + 101L * t).fit(x, grad)
         var i = 0
         while (i < n) { f(i) += learningRate * tree.predict(x(i)); i += 1 }
         tree

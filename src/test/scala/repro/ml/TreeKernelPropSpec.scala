@@ -35,9 +35,11 @@ class TreeKernelPropSpec extends AnyFunSuite with PropSupport {
     pick <- Gen.oneOf(Gen.const(rows.indices.toList), Gen.listOfN(n, Gen.choose(0, n - 1)))
   } yield pick.map(rows).toArray
 
-  /** Row counts near the 2 * minSamplesLeaf split threshold, or anywhere up to 80. */
-  private def rowCount(minLeaf: Int): Gen[Int] =
-    Gen.frequency(1 -> Gen.choose(math.max(1, 2 * minLeaf - 1), 2 * minLeaf + 2), 2 -> Gen.choose(1, 80))
+  /** Row counts near the 2 * MinSamplesLeaf split threshold, or anywhere up to 80. */
+  private val rowCount: Gen[Int] = {
+    val twice = 2 * RegressionTree.MinSamplesLeaf
+    Gen.frequency(1 -> Gen.choose(twice - 1, twice + 2), 2 -> Gen.choose(1, 80))
+  }
 
   private val fraction = Gen.oneOf(0.5, 0.7, 1.0)
 
@@ -52,17 +54,16 @@ class TreeKernelPropSpec extends AnyFunSuite with PropSupport {
 
   test("presorted trees equal sort-per-node trees bit for bit") {
     val gen = for {
-      minLeaf <- Gen.oneOf(1, 2, 4, 5)
-      n <- rowCount(minLeaf)
+      n <- rowCount
       x <- matrix(n)
       y <- labels(n, Regression)
       depth <- Gen.choose(0, 6)
       ff <- fraction
       seed <- Gen.choose(0L, 1000L)
-    } yield (x, y, depth, minLeaf, ff, seed)
-    check(Prop.forAll(gen) { case (x, y, depth, minLeaf, ff, seed) =>
-      val fast = shape(new RegressionTree(depth, minLeaf, ff, seed).fit(x, y, RegressionTree.presort(x)))
-      val ref = new SortPerNodeTree(depth, minLeaf, ff, seed).fit(x, y).shape
+    } yield (x, y, depth, ff, seed)
+    check(Prop.forAll(gen) { case (x, y, depth, ff, seed) =>
+      val fast = shape(new RegressionTree(depth, ff, seed).fit(x, y, RegressionTree.presort(x)))
+      val ref = new SortPerNodeTree(depth, ff, seed).fit(x, y).shape
       (fast == ref) :| s"presorted $fast\nreference $ref"
     }, minSuccessful = 300)
   }
@@ -70,17 +71,15 @@ class TreeKernelPropSpec extends AnyFunSuite with PropSupport {
   test("random forest scores equal the sort-per-node forest's bit for bit") {
     val gen = for {
       task <- Gen.oneOf(BinaryClassification, MultiClassification(4))
-      minLeaf <- Gen.oneOf(1, 2, 4)
-      n <- rowCount(minLeaf)
+      n <- rowCount
       x <- matrix(n)
       y <- labels(n, task)
-      ff <- fraction
       seed <- Gen.choose(0L, 1000L)
-    } yield (task, x, y, minLeaf, ff, seed)
-    check(Prop.forAll(gen) { case (task, x, y, minLeaf, ff, seed) =>
+    } yield (task, x, y, seed)
+    check(Prop.forAll(gen) { case (task, x, y, seed) =>
       val data = DenseData(x, y)
-      val fast = new RandomForestTrainer(task, numTrees = 4, maxDepth = 5, minLeaf, ff, seed).fit(data)
-      val ref = new RandomForest(task, numTrees = 4, maxDepth = 5, minLeaf, ff, seed).fit(data)
+      val fast = new RandomForestTrainer(task, numTrees = 4, seed).fit(data)
+      val ref = new RandomForest(task, numTrees = 4, seed).fit(data)
       sameScores(fast.scoresAll(x), ref.scoresAll(x)) :| s"$task"
     }, minSuccessful = 60)
   }
@@ -88,16 +87,15 @@ class TreeKernelPropSpec extends AnyFunSuite with PropSupport {
   test("gradient boosting scores equal the sort-per-node booster's bit for bit") {
     val gen = for {
       task <- Gen.oneOf(Regression, BinaryClassification, MultiClassification(4))
-      minLeaf <- Gen.oneOf(1, 2, 4)
-      n <- rowCount(minLeaf)
+      n <- rowCount
       x <- matrix(n)
       y <- labels(n, task)
       seed <- Gen.choose(0L, 1000L)
-    } yield (task, x, y, minLeaf, seed)
-    check(Prop.forAll(gen) { case (task, x, y, minLeaf, seed) =>
+    } yield (task, x, y, seed)
+    check(Prop.forAll(gen) { case (task, x, y, seed) =>
       val data = DenseData(x, y)
-      val fast = new GradientBoostingTrainer(task, numTrees = 5, maxDepth = 3, 0.2, minLeaf, seed).fit(data)
-      val ref = new GradientBoosting(task, numTrees = 5, maxDepth = 3, 0.2, minLeaf, seed).fit(data)
+      val fast = new GradientBoostingTrainer(task, numTrees = 5, seed).fit(data)
+      val ref = new GradientBoosting(task, numTrees = 5, seed).fit(data)
       sameScores(fast.scoresAll(x), ref.scoresAll(x)) :| s"$task"
     }, minSuccessful = 60)
   }

@@ -9,10 +9,10 @@ import scala.util.Random
 class AssociationSpec extends AnyFunSuite with PropSupport {
 
   test("equal-frequency bins are balanced on distinct values") {
-    val bins = Association.equalFreqBins(Array.tabulate(100)(_.toDouble), bins = 4)
+    val bins = Association.equalFreqBins(Array.tabulate(100)(_.toDouble))
     val sizes = bins.groupBy(identity).view.mapValues(_.length).toMap
-    assert(sizes.size == 4)
-    assert(sizes.values.forall(s => s >= 20 && s <= 30), sizes.toString)
+    assert(sizes.size == Association.Bins)
+    assert(sizes.values.forall(s => s >= 8 && s <= 12), sizes.toString)
   }
 
   test("equal-frequency bins put a constant column into one bin") {
@@ -21,15 +21,17 @@ class AssociationSpec extends AnyFunSuite with PropSupport {
   }
 
   test("equal-frequency bins keep ties in the same bin") {
-    val bins = Association.equalFreqBins(Array(1.0, 1.0, 1.0, 1.0, 9.0, 9.0), bins = 3)
-    assert(bins.take(4).toSet.size == 1)
+    // 30 tied values span the first three bins' quantile edges.
+    val bins = Association.equalFreqBins(Array.fill(30)(1.0) ++ Array.tabulate(70)(_ + 2.0))
+    assert(bins.take(30).toSet.size == 1)
+    assert(bins.drop(30).forall(_ > bins(0)))
   }
 
   test("labelBins uses class ids for classification and bins for regression") {
     val y = Array(0.0, 1.0, 2.0, 1.0)
     assert(Association.labelBins(y, MultiClassification(3)).toSeq == Seq(0, 1, 2, 1))
-    val reg = Association.labelBins(Array.tabulate(100)(_.toDouble), Regression, bins = 5)
-    assert(reg.distinct.length == 5)
+    val reg = Association.labelBins(Array.tabulate(100)(_.toDouble), Regression)
+    assert(reg.distinct.length == Association.Bins)
   }
 
   test("MI of a label with itself is its entropy (log 2 for balanced binary)") {
