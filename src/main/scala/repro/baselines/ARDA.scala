@@ -23,7 +23,7 @@ object ARDA {
       task: Task,
       split: Splits.Split,
       k: Int,
-      seed: Long = 7L,
+      seed: Long,
   ): Vector[Int] = {
     require(candidates.nonEmpty, "ARDA needs candidates")
     val rnd = new Random(seed)

@@ -33,7 +33,7 @@ object AutoFeature {
       modelKind: ModelKind,
       split: Splits.Split,
       k: Int,
-      seed: Long = 7L,
+      seed: Long,
   ): Vector[Int] = {
     require(candidates.nonEmpty, "AutoFeature needs candidates")
     val rnd = new Random(seed)

@@ -50,7 +50,7 @@ object FeatureSelectors {
       k: Int,
       seed: Long = 7L,
   ): Vector[Int] = {
-    val fitRows = split.train ++ split.valid
+    val fitRows = split.trainValid
     def scoreBy(f: Array[Double] => Double): Vector[Int] =
       candidates.indices.sortBy(i => -f(fitRows.map(candidates(i)))).take(k).toVector
     val yFit = fitRows.map(y)
@@ -161,7 +161,7 @@ object FeatureSelectors {
 
   private def poolByMi(candidates: Vector[Array[Double]], y: Array[Double], task: Task,
                        split: Splits.Split): Vector[Int] = {
-    val rowsIdx = split.train ++ split.valid
+    val rowsIdx = split.trainValid
     val yFit = rowsIdx.map(y)
     candidates.indices
       .sortBy(i => -Association.mutualInformation(rowsIdx.map(candidates(i)), yFit, task))

@@ -18,16 +18,18 @@ import org.apache.spark.sql.types.{BooleanType, NumericType, StringType}
   *
   * A query narrows a selection vector of row indices, one predicate at a
   * time, then aggregates the selected rows per group of a [[Groups]] index
-  * with the semantics of the Spark expressions in [[AggFunc]]. NULLs are
-  * skipped as Spark skips them; values are assumed not to be NaN.
+  * with the semantics of Spark's built-in aggregates for each [[AggFunc]].
+  * NULLs are skipped as Spark skips them; values are assumed not to be NaN.
   *
   * Where floating-point rounding depends on the order of the rows (SUM,
   * AVG and the moment aggregates), the kernels follow Spark's plan:
   * a partial aggregate per partition of `relevant` over its rows in order,
   * then the partials merged in partition order with Spark's own merge
   * formulas. The rows keep the order in which `collect` returns them, and
-  * `partStart` marks where each partition begins, so the columnar results
-  * equal Spark's bit for bit and a search takes the same path on either.
+  * `partStart` marks where each partition begins. The replay is what keeps
+  * the columnar results equal, bit for bit, to the Spark reference path the
+  * tests hold, and to every result since the search moved off Spark: a
+  * last-bit difference in one feature can change which query TPE keeps.
   */
 final class ColumnarTable private (
     nRows: Int,
@@ -82,8 +84,8 @@ final class ColumnarTable private (
     numbers.getOrElse(attr, throw new IllegalArgumentException(s"$attr is not a loaded numeric column"))
 
   /** The rows of `sel` that satisfy `p`. Equality compares dictionary
-    * codes; a range compares the value as a double, as `cast("double")`
-    * does in [[FeatureQueryExecutor.featureDf]].
+    * codes; a range compares the value as a double, as `CAST(attr AS
+    * DOUBLE)` does in [[FeatureQueryExecutor.duckSql]].
     */
   private def select(p: Predicate, sel: Array[Int]): Array[Int] = p.eqValue match {
     case Some(v) =>
@@ -280,15 +282,42 @@ object ColumnarTable {
       if (a == b) 0.0
       else agg match {
         case AggFunc.CountDistinct => runs.size.toDouble
-        case AggFunc.Entropy       => Aggregates.entropy(runs.map(_.toLong))
+        case AggFunc.Entropy       => entropy(runs.map(_.toLong))
         case AggFunc.Mode =>
           // The first longest run: the smallest of the most frequent values.
           val r = runs
           vals(a + r.take(r.indexOf(r.max)).sum)
-        case AggFunc.Median => Aggregates.median(java.util.Arrays.copyOfRange(vals, a, b))
-        case AggFunc.Mad    => Aggregates.mad(java.util.Arrays.copyOfRange(vals, a, b))
+        case AggFunc.Median => median(java.util.Arrays.copyOfRange(vals, a, b))
+        case AggFunc.Mad    => mad(java.util.Arrays.copyOfRange(vals, a, b))
         case other          => throw new IllegalStateException(s"$other is not an order-based aggregate")
       }
     }
+  }
+
+  /** Shannon entropy (bits) of the value counts `counts`, summed in the
+    * order given (ascending value), so the result does not depend on the
+    * order in which the rows were seen; 0.0 for no values.
+    */
+  private[core] def entropy(counts: Seq[Long]): Double = {
+    val n = counts.sum.toDouble
+    if (n <= 0) 0.0
+    else {
+      val h = -counts.iterator.map { c => val p = c / n; p * math.log(p) / math.log(2.0) }.sum
+      if (h == 0.0) 0.0 else h // normalize IEEE -0.0 from single-value groups
+    }
+  }
+
+  /** Median absolute deviation of non-empty `values` around their median. */
+  private[core] def mad(values: Array[Double]): Double = {
+    val med = median(values)
+    median(values.map(v => math.abs(v - med)))
+  }
+
+  /** Interpolated median: mean of the two middle values for even counts. */
+  private[core] def median(values: Array[Double]): Double = {
+    require(values.nonEmpty, "median of empty array")
+    val s = values.sorted
+    val n = s.length
+    if (n % 2 == 1) s(n / 2) else (s(n / 2 - 1) + s(n / 2)) / 2.0
   }
 }

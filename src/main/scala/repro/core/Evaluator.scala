@@ -33,13 +33,13 @@ final class Evaluator(
     val task: Task,
     val modelKind: ModelKind,
     val split: Splits.Split,
-    val proxy: ProxyKind = MIProxy,
-    val seed: Long = 7L,
+    val proxy: ProxyKind,
+    val seed: Long,
     /** Feature columns depend only on the query + dataset, so callers may
       * share one store across evaluators (model kinds, ablation variants)
       * to avoid re-running identical queries.
       */
-    featureStore: mutable.Map[String, Array[Double]] = mutable.HashMap.empty,
+    featureStore: mutable.Map[String, Array[Double]],
 ) {
   private val lossCache = new ConcurrentHashMap[String, Once]
   private val proxyCache = new ConcurrentHashMap[String, Once]
@@ -62,9 +62,6 @@ final class Evaluator(
   private def memo(cache: ConcurrentHashMap[String, Once], q: QuerySpec)(compute: => Double): Double =
     cache.computeIfAbsent(q.cacheKey, _ => new Once(compute)).value
 
-  /** Rows the proxy may look at: train + valid (never test). */
-  private lazy val proxyRows: Array[Int] = split.train ++ split.valid
-
   def realLoss(q: QuerySpec): Double = memo(lossCache, q) {
     Models.splitLoss(modelKind, task, withFeature(feature(q)), split.train, split.valid, seed, fast = true)
   }
@@ -73,9 +70,9 @@ final class Evaluator(
     val f = feature(q)
     proxy match {
       case MIProxy =>
-        Association.mutualInformation(proxyRows.map(f), proxyRows.map(y), task)
+        Association.mutualInformation(split.trainValid.map(f), split.trainValid.map(y), task)
       case SCProxy =>
-        Association.spearman(proxyRows.map(f), proxyRows.map(y))
+        Association.spearman(split.trainValid.map(f), split.trainValid.map(y))
       case LRProxy =>
         // Fast LR on base + candidate; score = negative validation loss.
         -Models.splitLoss(LRModel, task, withFeature(f), split.train, split.valid, seed, fast = true)

@@ -9,8 +9,8 @@ final case class FeatAugConfig(
     useQTI: Boolean = true,
     useWarmup: Boolean = true,
     proxy: ProxyKind = MIProxy,
-    budget: SearchBudget = SearchBudget(),
-    seed: Long = 0L,
+    budget: SearchBudget,
+    seed: Long,
 )
 
 /** The FeatAug framework (Figure 2): Query Template Identification selects

@@ -38,8 +38,8 @@ object QueryTemplateIdentification {
       mkCodec: Vector[String] => QueryVectorCodec,
       evaluator: Evaluator,
       budget: SearchBudget,
-      usePredictor: Boolean = true,
-      seed: Long = 0L,
+      usePredictor: Boolean,
+      seed: Long,
   ): Result = {
     require(attrs.nonEmpty, "no candidate predicate attributes")
     val evaluated = scala.collection.mutable.ArrayBuffer.empty[Node]

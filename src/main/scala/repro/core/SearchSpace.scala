@@ -107,29 +107,4 @@ final class QueryVectorCodec(val template: QueryTemplate, val domains: Map[Strin
     val keys = template.keys.zip(keyBits).collect { case (k, 1) => k }.toVector
     QuerySpec(agg, aggAttr, preds, if (keys.isEmpty) template.keys else keys)
   }
-
-  /** Inverse of decode for specs whose constants exist in the domains; used
-    * by tests (decode∘encode = identity on canonical vectors).
-    */
-  def encode(q: QuerySpec): Vector[Int] = {
-    val head = Vector(
-      template.aggFuncs.indexOf(q.agg),
-      template.aggAttrs.indexOf(q.aggAttr),
-    )
-    require(head.forall(_ >= 0), s"query $q not in template $template")
-    val predByAttr = q.preds.map(p => p.attr -> p).toMap
-    val mid = template.predAttrs.flatMap { a =>
-      val p = predByAttr.getOrElse(a, Predicate(a, None, None, None))
-      domains(a) match {
-        case d: CatDomain => Vector(p.eqValue.map(v => d.values.indexOf(v) + 1).getOrElse(0))
-        case d: NumDomain =>
-          Vector(
-            p.lo.map(v => d.cuts.indexOf(v) + 1).getOrElse(0),
-            p.hi.map(v => d.cuts.indexOf(v) + 1).getOrElse(0),
-          )
-      }
-    }
-    val keyBits = template.keys.map(k => if (q.keys.contains(k)) 1 else 0)
-    head ++ mid ++ keyBits
-  }
 }

@@ -2,22 +2,24 @@ package repro.core
 
 import repro.hpo.{RandomSearch, TPE}
 
-/** Search budgets for the whole FeatAug pipeline. Paper defaults are 200
+/** Search budgets for the whole FeatAug pipeline. The paper runs 200
   * warm-up proxy iterations / top-50 real evals / 40 generation iterations
-  * with beam depth 4; our defaults are scaled proportionally for the
-  * simulated (small) datasets — see DESIGN.md Section 5.
+  * with beam depth 4; the bench budget ([[repro.exp.Experiments.benchBudget]])
+  * scales these proportionally for the simulated (small) datasets and keeps
+  * the paper's 8 templates x 5 queries — see DESIGN.md Section 5. Every
+  * budget states every field.
   */
 final case class SearchBudget(
-    warmupIters: Int = 20,
-    warmupTopK: Int = 6,
-    genIters: Int = 10,
-    qtiProxyIters: Int = 8,
-    beamWidth: Int = 2,
-    beamDepth: Int = 3,
-    nTemplates: Int = 8,
-    queriesPerTemplate: Int = 5,
-    maxCats: Int = 10,
-    numQuantiles: Int = 7,
+    warmupIters: Int,
+    warmupTopK: Int,
+    genIters: Int,
+    qtiProxyIters: Int,
+    beamWidth: Int,
+    beamDepth: Int,
+    nTemplates: Int,
+    queriesPerTemplate: Int,
+    maxCats: Int,
+    numQuantiles: Int,
 ) {
   require(warmupIters >= 1 && warmupTopK >= 1 && genIters >= 1, "positive budgets required")
   require(beamWidth >= 1 && beamDepth >= 1, "positive beam parameters required")

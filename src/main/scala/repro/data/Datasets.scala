@@ -89,7 +89,7 @@ object Datasets {
     * Signal: spend on 'purchase' actions in the last ~quarter of the year
     * at that merchant.
     */
-  def tmallLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 100L): TaskDef = fourShufflePartitions(spark) {
+  def tmallLite(spark: SparkSession, sf: Double, seed: Long = 100L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(20000, sf, 240)
     val nLogs = rows(600000, sf, 4000)
     val nMerchant = 40
@@ -143,7 +143,7 @@ object Datasets {
   /** Instacart-lite — will-buy prediction; key user_id. Signal: reorders
     * within one department.
     */
-  def instacartLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 200L): TaskDef = fourShufflePartitions(spark) {
+  def instacartLite(spark: SparkSession, sf: Double, seed: Long = 200L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(20000, sf, 240)
     val nLines = rows(600000, sf, 4000)
     val lines = spark.range(0, nLines, 1, 4).select(
@@ -179,7 +179,7 @@ object Datasets {
   /** Student-lite — answer-correctness prediction from game-play events;
     * key session_id. Signal: hover time at high levels.
     */
-  def studentLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 300L): TaskDef = fourShufflePartitions(spark) {
+  def studentLite(spark: SparkSession, sf: Double, seed: Long = 300L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(15000, sf, 200)
     val nEvents = rows(500000, sf, 4000)
     val events = spark.range(0, nEvents, 1, 4).select(
@@ -221,7 +221,7 @@ object Datasets {
   /** Merchant-lite — regression on future loyalty; key merchant_id.
     * Signal: recent average spend within one category.
     */
-  def merchantLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 400L): TaskDef = fourShufflePartitions(spark) {
+  def merchantLite(spark: SparkSession, sf: Double, seed: Long = 400L): TaskDef = fourShufflePartitions(spark) {
     val nTrain = rows(20000, sf, 220)
     val nTxn = rows(450000, sf, 4000)
     val txns = spark.range(0, nTxn, 1, 4).select(
@@ -261,7 +261,7 @@ object Datasets {
     * threshold gate, so predicate-masked copies of features help linear
     * models (matching the paper's one-to-one findings).
     */
-  def covtypeLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 500L): TaskDef = fourShufflePartitions(spark) {
+  def covtypeLite(spark: SparkSession, sf: Double, seed: Long = 500L): TaskDef = fourShufflePartitions(spark) {
     val n = rows(30000, sf, 300)
     val feats = spark.range(1, n + 1, 1, 4).select(
       (col("id") :: (1 to 12).map(i =>
@@ -284,7 +284,7 @@ object Datasets {
     * base features, the relevant table holds the other 20 numeric + 2
     * categorical attributes that actually drive the label.
     */
-  def householdLite(spark: SparkSession, sf: Double = 0.01, seed: Long = 600L): TaskDef = fourShufflePartitions(spark) {
+  def householdLite(spark: SparkSession, sf: Double, seed: Long = 600L): TaskDef = fourShufflePartitions(spark) {
     val n = rows(19000, sf, 250)
     val wide = spark.range(1, n + 1, 1, 4).select(
       (col("id") ::

@@ -28,7 +28,8 @@ object Experiments {
     */
   val benchBudget: SearchBudget = SearchBudget(
     warmupIters = 12, warmupTopK = 4, genIters = 7, qtiProxyIters = 5,
-    beamWidth = 2, beamDepth = 3, nTemplates = 8, queriesPerTemplate = 5)
+    beamWidth = 2, beamDepth = 3, nTemplates = 8, queriesPerTemplate = 5,
+    maxCats = 10, numQuantiles = 7)
 
   /** Tiny budget for unit tests. */
   val testBudget: SearchBudget = SearchBudget(

@@ -20,9 +20,9 @@ import scala.util.Random
   * Node sums (`mean`, the parent SSE) run in ascending row order.
   */
 final class RegressionTree(
-    maxDepth: Int = 5,
+    maxDepth: Int,
     featureFraction: Double = 1.0,
-    seed: Long = 11L,
+    seed: Long,
 ) {
   import RegressionTree._
 

@@ -17,7 +17,7 @@ import scala.util.Random
   * binary AUC datasets and the Merchant regression dataset). Trained with
   * per-sample SGD + momentum; deterministic in `seed`.
   */
-final class DeepFMTrainer(task: Task, epochs: Int = 25, seed: Long = 23L) extends Trainer {
+final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
   import DeepFMTrainer._
   require(task == BinaryClassification || task == Regression,
     "DeepFM supports binary classification and regression only")

@@ -9,7 +9,7 @@ package repro.ml
   *  - binary: logistic loss, trees fit to (y - sigmoid(F)), sigmoid head
   *  - multi-class: one-vs-rest logistic boosters, softmax-free normalized head
   */
-final class GradientBoostingTrainer(task: Task, numTrees: Int = 25, seed: Long = 17L) extends Trainer {
+final class GradientBoostingTrainer(task: Task, numTrees: Int, seed: Long) extends Trainer {
   import GradientBoostingTrainer._
 
   override def fit(data: DenseData): Predictor = {

@@ -20,7 +20,7 @@ trait Trainer {
   *
   * This is the paper's "LR" downstream model and the LR low-cost proxy.
   */
-final class LogisticRegressionTrainer(task: Task, epochs: Int = 150, seed: Long = 7L) extends Trainer {
+final class LogisticRegressionTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
   import LogisticRegressionTrainer._
   require(task != Regression, "use RidgeRegressionTrainer for regression")
 

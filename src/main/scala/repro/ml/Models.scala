@@ -15,7 +15,7 @@ case object DeepFMModel extends ModelKind { val name = "DeepFM" }
   * evaluations use full budgets.
   */
 object Models {
-  def trainer(kind: ModelKind, task: Task, seed: Long = 7L, fast: Boolean = false): Trainer =
+  def trainer(kind: ModelKind, task: Task, seed: Long, fast: Boolean): Trainer =
     kind match {
       case LRModel =>
         task match {
@@ -33,15 +33,15 @@ object Models {
   /** [[splitMetric]] as a minimization objective: RMSE as is, else 1 - metric. */
   def splitLoss(kind: ModelKind, task: Task, data: DenseData,
                 trainIdx: Array[Int], evalIdx: Array[Int],
-                seed: Long = 7L, fast: Boolean = false): Double = {
+                seed: Long, fast: Boolean): Double = {
     val m = splitMetric(kind, task, data, trainIdx, evalIdx, seed, fast)
-    if (task == Regression) m else 1.0 - m
+    if (Metrics.higherIsBetter(task)) 1.0 - m else m
   }
 
   /** Fit on the train split and return the task *metric* on the eval split. */
   def splitMetric(kind: ModelKind, task: Task, data: DenseData,
                   trainIdx: Array[Int], evalIdx: Array[Int],
-                  seed: Long = 7L, fast: Boolean = false): Double = {
+                  seed: Long, fast: Boolean): Double = {
     val pred = trainer(kind, task, seed, fast).fit(data.select(trainIdx))
     val ev = data.select(evalIdx)
     Metrics.taskMetric(task, ev.y, pred.scoresAll(ev.x))
@@ -52,9 +52,15 @@ object Models {
   * train/valid/test ratio.
   */
 object Splits {
-  final case class Split(train: Array[Int], valid: Array[Int], test: Array[Int])
+  final case class Split(train: Array[Int], valid: Array[Int], test: Array[Int]) {
+    /** The rows a search may read, train then valid: every proxy score,
+      * selector and baseline fits on these; only the final metric reads
+      * `test`.
+      */
+    lazy val trainValid: Array[Int] = train ++ valid
+  }
 
-  def threeWay(n: Int, seed: Long = 42L): Split = {
+  def threeWay(n: Int, seed: Long): Split = {
     val idx = (0 until n).toArray
     val rnd = new Random(seed)
     var i = n

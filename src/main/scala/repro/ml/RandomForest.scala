@@ -10,7 +10,7 @@ import scala.util.Random
   * distribution. This gives calibrated-ish scores so AUC is meaningful,
   * which plain majority voting would not.
   */
-final class RandomForestTrainer(task: Task, numTrees: Int = 15, seed: Long = 13L) extends Trainer {
+final class RandomForestTrainer(task: Task, numTrees: Int, seed: Long) extends Trainer {
   import RandomForestTrainer._
 
   override def fit(data: DenseData): Predictor = {

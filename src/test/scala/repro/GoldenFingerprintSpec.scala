@@ -65,7 +65,7 @@ class GoldenFingerprintSpec extends SparkSpec with MiniData {
     val name = s"${kind.name}/$label/fast=$fast"
     test(s"$name: every score matches its golden fingerprint") {
       val (task, y) = labels(label)
-      val pred = Models.trainer(kind, task, fast = fast).fit(DenseData(x, y).select(fitRows))
+      val pred = Models.trainer(kind, task, seed = 7L, fast = fast).fit(DenseData(x, y).select(fitRows))
       val got = fingerprint(pred.scoresAll(x))
       assert(goldenScores.get(name).contains(got), f"$name fingerprint 0x$got%016xL")
     }
@@ -155,7 +155,8 @@ class GoldenFingerprintSpec extends SparkSpec with MiniData {
 
   for (kind <- Seq(LRModel, XGBModel, RFModel, DeepFMModel)) {
     test(s"FeatAug(Full, ${kind.name}) on MiniData selects its golden queries") {
-      val ev = new Evaluator(executor, baseX, yArr, BinaryClassification, kind, split, MIProxy, seed = 7)
+      val ev = new Evaluator(executor, baseX, yArr, BinaryClassification, kind, split, MIProxy, seed = 7,
+        featureStore = scala.collection.mutable.HashMap.empty)
       val run = FeatAug.selectQueries(Vector("cat", "t"), p => new QueryVectorCodec(template.copy(predAttrs = p), domains),
         ev, FeatAugConfig(budget = Experiments.testBudget, seed = 3))
       val got = run.queries.map(_.cacheKey).toSet

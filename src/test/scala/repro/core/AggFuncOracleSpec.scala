@@ -20,7 +20,7 @@ class AggFuncOracleSpec extends SparkSpec with MiniData {
     * Spark run of `q`.
     */
   private def oracleCheck(q: QuerySpec): Unit = {
-    val df = executor.featureDf(q)
+    val df = SparkReference.featureDf(relevant, q)
     val rows = df.collect()
     Oracle.assertEquivalent(spark.createDataFrame(rows.toSeq.asJava, df.schema), executor.duckSql(q, "r"), "r" -> relevant)
     ReferencePaths.assertClose(executor, q, ReferencePaths.align(executor, q, rows))
@@ -102,7 +102,7 @@ class AggFuncOracleSpec extends SparkSpec with MiniData {
     test(s"${agg.name}: columnar featureValues matches $paths on the adversarial fixture") {
       val qs = advShapes(agg)
       // Independent Spark jobs, run concurrently to keep the suite fast.
-      val refs = Await.result(Future.traverse(qs)(q => Future(ReferencePaths.sparkAligned(advExecutor, q))), 5.minutes)
+      val refs = Await.result(Future.traverse(qs)(q => Future(ReferencePaths.sparkAligned(advExecutor, advRelevant, q))), 5.minutes)
       qs.zip(refs).foreach { case (q, ref) => ReferencePaths.assertClose(advExecutor, q, ref) }
       if (agg.oracleSafe) ReferencePaths.assertDuckDb(advExecutor, qs.map(q => q -> advExecutor.featureValues(q)), advRelevant)
     }

@@ -11,23 +11,23 @@ import repro.SparkSpec
 class AggregatesSpec extends SparkSpec {
 
   private def aggValue(agg: AggFunc, values: Seq[Double]): Double = {
-    Aggregates.register(spark)
+    SparkReference.register(spark)
     import spark.implicits._
     val df = values.map(v => (1L, v)).toDF("k", "v")
-    val r = df.groupBy("k").agg(agg.sparkExpr(col("v")).cast("double").as("f")).collect()(0)
+    val r = df.groupBy("k").agg(SparkReference.sparkExpr(agg, col("v")).cast("double").as("f")).collect()(0)
     r.getDouble(1)
   }
 
   test("median helper: odd count picks the middle value") {
-    assert(Aggregates.median(Array(3.0, 1.0, 2.0)) == 2.0)
+    assert(ColumnarTable.median(Array(3.0, 1.0, 2.0)) == 2.0)
   }
 
   test("median helper: even count interpolates the two middle values") {
-    assert(Aggregates.median(Array(1.0, 2.0, 3.0, 10.0)) == 2.5)
+    assert(ColumnarTable.median(Array(1.0, 2.0, 3.0, 10.0)) == 2.5)
   }
 
   test("median helper rejects empty input") {
-    intercept[IllegalArgumentException](Aggregates.median(Array.empty))
+    intercept[IllegalArgumentException](ColumnarTable.median(Array.empty))
   }
 
   test("ENTROPY of a uniform 4-value group is 2 bits") {
@@ -86,7 +86,7 @@ class AggregatesSpec extends SparkSpec {
 
   test("ENTROPY and MAD skip NULL inputs") {
     import spark.implicits._
-    Aggregates.register(spark)
+    SparkReference.register(spark)
     val df = Seq((1L, Some(1.0)), (1L, None), (1L, Some(2.0)), (1L, Some(4.0)), (1L, Some(8.0))).toDF("k", "v")
     val r = df.groupBy("k").agg(expr("fa_entropy(v)"), expr("fa_mad(v)")).collect()(0)
     assert(math.abs(r.getDouble(1) - 2.0) < 1e-9) // four distinct non-null values
@@ -94,20 +94,20 @@ class AggregatesSpec extends SparkSpec {
   }
 
   test("registration is idempotent") {
-    Aggregates.register(spark)
-    Aggregates.register(spark)
+    SparkReference.register(spark)
+    SparkReference.register(spark)
     import spark.implicits._
     val df = Seq((1L, 1.0), (1L, 2.0)).toDF("k", "v")
     assert(df.groupBy("k").agg(expr("fa_entropy(v)")).collect()(0).getDouble(1) == 1.0)
   }
 
   test("the custom aggregates are registered in every session that plans a query") {
-    Aggregates.register(spark)
+    SparkReference.register(spark)
     val other = spark.newSession()
     import other.implicits._
-    val ex = MiniData.executor(Seq(1L).toDF("k"), Seq((1L, 1.0), (1L, 2.0)).toDF("k", "v"), Vector("k"))
+    val rel = Seq((1L, 1.0), (1L, 2.0)).toDF("k", "v")
     val q = QuerySpec(AggFunc.Entropy, "v", Vector.empty, Vector("k"))
-    assert(ex.featureDf(q).collect()(0).getDouble(1) == 1.0)
+    assert(SparkReference.featureDf(rel, q).collect()(0).getDouble(1) == 1.0)
   }
 
   test("the full function set has the paper's 15 members, basic has 5") {

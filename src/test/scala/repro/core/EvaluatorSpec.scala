@@ -7,7 +7,8 @@ import repro.proxy.{LRProxy, MIProxy, SCProxy}
 class EvaluatorSpec extends SparkSpec with MiniData {
 
   private def mkEvaluator(proxy: repro.proxy.ProxyKind = MIProxy) =
-    new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split, proxy, seed = 7)
+    new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split, proxy, seed = 7,
+      featureStore = scala.collection.mutable.HashMap.empty)
 
   private val signalQuery = QuerySpec(AggFunc.Sum, "amt",
     Vector(Predicate("cat", Some("A"), None, None), Predicate("t", None, Some(5.0), None)),

@@ -13,7 +13,7 @@ class ExecutorSpec extends SparkSpec with MiniData {
     Vector("uid"))
 
   test("featureDf matches a hand-computed aggregate") {
-    val got = executor.featureDf(q).collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val got = SparkReference.featureDf(relevant, q).collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(got.keySet == signal.keySet)
     got.foreach { case (u, v) => assert(math.abs(v - signal(u)) < 1e-6, s"user $u") }
   }
@@ -26,16 +26,17 @@ class ExecutorSpec extends SparkSpec with MiniData {
   }
 
   test("featureValues equals the Spark reference path row-by-row") {
-    ReferencePaths.assertClose(executor, q, ReferencePaths.sparkAligned(executor, q))
+    ReferencePaths.assertClose(executor, q, ReferencePaths.sparkAligned(executor, relevant, q))
   }
 
   test("featureValues equals Spark bit for bit where rounding depends on row order") {
     // Three hash partitions, so Spark merges partial aggregates across them.
-    val ex = MiniData.executor(train, relevant.repartition(3, col("t")), Vector("uid"))
+    val partitioned = relevant.repartition(3, col("t"))
+    val ex = MiniData.executor(train, partitioned, Vector("uid"))
     for (agg <- Seq(AggFunc.Sum, AggFunc.Avg, AggFunc.VarSamp, AggFunc.StdPop, AggFunc.Kurtosis, AggFunc.Entropy);
          preds <- Seq(Vector.empty, q.preds)) {
       val qq = QuerySpec(agg, "amt", preds, Vector("uid"))
-      val (fast, ref) = (ex.featureValues(qq), ReferencePaths.sparkAligned(ex, qq))
+      val (fast, ref) = (ex.featureValues(qq), ReferencePaths.sparkAligned(ex, partitioned, qq))
       fast.indices.find(i => fast(i) != ref(i))
         .foreach(i => fail(s"${qq.cacheKey} row $i: columnar ${fast(i)} vs Spark ${ref(i)}"))
     }
@@ -67,13 +68,13 @@ class ExecutorSpec extends SparkSpec with MiniData {
     val one = Seq((1L, 5.0)).toDF("uid", "amt")
     val ex1 = MiniData.executor(train, one, Vector("uid"))
     val q1 = QuerySpec(AggFunc.VarSamp, "amt", Vector.empty, Vector("uid"))
-    val df = ex1.featureDf(q1)
+    val df = SparkReference.featureDf(one, q1)
     assert(df.filter(col("feature").isNull).count() == 1)
     assert(ex1.featureValues(q1).forall(_ == 0.0))
   }
 
   test("a full query (predicates + aggregation) matches DuckDB end-to-end") {
-    Oracle.assertEquivalent(executor.featureDf(q), executor.duckSql(q, "r"), "r" -> relevant)
+    Oracle.assertEquivalent(SparkReference.featureDf(relevant, q), executor.duckSql(q, "r"), "r" -> relevant)
   }
 
   test("featureValues matches DuckDB's LEFT JOIN semantics") {

@@ -19,7 +19,8 @@ class ParallelSearchSpec extends SparkSpec with MiniData {
   private lazy val domains3 = SearchSpace.domains(relevant, attrs, budget.maxCats, budget.numQuantiles)
   private def mkCodec(p: Vector[String]) = new QueryVectorCodec(template.copy(predAttrs = p), domains3)
   private def mkEvaluator(proxy: ProxyKind) =
-    new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split, proxy, seed = 7)
+    new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split, proxy, seed = 7,
+      featureStore = scala.collection.mutable.HashMap.empty)
 
   private def bits(r: QueryTemplateIdentification.Result) =
     (r.nodes.map(n => (n.pAttrs, java.lang.Double.doubleToRawLongBits(n.score))), r.templatesEvaluated)
@@ -36,10 +37,10 @@ class ParallelSearchSpec extends SparkSpec with MiniData {
   }
 
   private val variants = Seq(
-    "Full" -> FeatAugConfig(budget = budget),
-    "NoQTI" -> FeatAugConfig(useQTI = false, budget = budget),
-    "NoWU" -> FeatAugConfig(useWarmup = false, budget = budget),
-    "LRpx" -> FeatAugConfig(proxy = LRProxy, budget = budget))
+    "Full" -> FeatAugConfig(budget = budget, seed = 0L),
+    "NoQTI" -> FeatAugConfig(useQTI = false, budget = budget, seed = 0L),
+    "NoWU" -> FeatAugConfig(useWarmup = false, budget = budget, seed = 0L),
+    "LRpx" -> FeatAugConfig(proxy = LRProxy, budget = budget, seed = 0L))
 
   test("FeatAug over concurrent pools equals the sequential reference (Full, NoQTI, NoWU, LR proxy)") {
     for (seed <- seeds; (name, base) <- variants) {
@@ -49,7 +50,8 @@ class ParallelSearchSpec extends SparkSpec with MiniData {
       assert(par == ref, s"$name, seed $seed")
       assert(par.queries.nonEmpty)
       refQti.foreach { qti =>
-        val again = QueryTemplateIdentification.identify(attrs, mkCodec, mkEvaluator(cfg.proxy), budget, seed = seed)
+        val again = QueryTemplateIdentification.identify(attrs, mkCodec, mkEvaluator(cfg.proxy), budget,
+          usePredictor = true, seed = seed)
         assert(bits(again) == bits(qti), s"$name QTI, seed $seed")
       }
     }

@@ -8,10 +8,12 @@ import repro.Oracle
 /** The reference paths a columnar feature column is checked against. */
 object ReferencePaths {
 
-  /** Spark's q(R) through [[FeatureQueryExecutor.featureDf]], aligned to the
-    * training rows with missing keys and NULLs as 0.0.
+  /** Spark's q(R) through [[SparkReference.featureDf]] over `relevant`, the
+    * frame `ex` was built from, aligned to the training rows with missing
+    * keys and NULLs as 0.0.
     */
-  def sparkAligned(ex: FeatureQueryExecutor, q: QuerySpec): Array[Double] = align(ex, q, ex.featureDf(q).collect())
+  def sparkAligned(ex: FeatureQueryExecutor, relevant: DataFrame, q: QuerySpec): Array[Double] =
+    align(ex, q, SparkReference.featureDf(relevant, q).collect())
 
   /** Collected `featureDf` rows of `q` aligned to the training rows. */
   def align(ex: FeatureQueryExecutor, q: QuerySpec, rows: Array[Row]): Array[Double] = {

@@ -52,7 +52,7 @@ object ReferenceSearch {
         if (!usePredictor || candidates.size <= budget.beamWidth) candidates
         else {
           val predictor = fitPredictor(attrs, evaluated.toVector)
-          candidates.sortBy(p => -predictor(encode(attrs, p))).take(budget.beamWidth)
+          candidates.sortBy(p => -predictor(QueryTemplate.encode(attrs, p))).take(budget.beamWidth)
         }
 
       val layer = toEvaluate.zipWithIndex.map { case (p, i) => record(p, seed + 1000L * depth + i) }
@@ -63,11 +63,8 @@ object ReferenceSearch {
     Result(evaluated.toVector)
   }
 
-  private def encode(attrs: Vector[String], p: Vector[String]): Array[Double] =
-    attrs.map(a => if (p.contains(a)) 1.0 else 0.0).toArray
-
   private def fitPredictor(attrs: Vector[String], nodes: Vector[Node]): Array[Double] => Double = {
-    val x = nodes.map(n => encode(attrs, n.pAttrs)).toArray
+    val x = nodes.map(n => QueryTemplate.encode(attrs, n.pAttrs)).toArray
     val y = nodes.map(_.score).toArray
     val model = new RidgeRegressionTrainer(l2 = 1e-2).fit(DenseData(x, y))
     enc => model.scores(enc)(0)

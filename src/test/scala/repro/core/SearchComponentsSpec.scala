@@ -13,7 +13,8 @@ class SearchComponentsSpec extends SparkSpec with MiniData {
   private val budget = Experiments.testBudget
 
   private def mkEvaluator() =
-    new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split, MIProxy, seed = 7)
+    new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split, MIProxy, seed = 7,
+      featureStore = scala.collection.mutable.HashMap.empty)
 
   private def mkCodec(p: Vector[String]): QueryVectorCodec =
     new QueryVectorCodec(template.copy(predAttrs = p), domains)
@@ -95,7 +96,7 @@ class SearchComponentsSpec extends SparkSpec with MiniData {
 
   test("QTI rejects an empty attribute set") {
     intercept[IllegalArgumentException](QueryTemplateIdentification.identify(
-      Vector.empty, mkCodec, mkEvaluator(), budget))
+      Vector.empty, mkCodec, mkEvaluator(), budget, usePredictor = true, seed = 0L))
   }
 
   test("FeatAug end-to-end returns at most nTemplates x queriesPerTemplate distinct queries") {
@@ -121,8 +122,8 @@ class SearchComponentsSpec extends SparkSpec with MiniData {
   }
 
   test("SearchBudget validates positivity") {
-    intercept[IllegalArgumentException](SearchBudget(warmupIters = 0))
-    intercept[IllegalArgumentException](SearchBudget(beamWidth = 0))
-    assert(SearchBudget().numFeatures == 40) // paper: 8 templates x 5 queries
+    intercept[IllegalArgumentException](Experiments.benchBudget.copy(warmupIters = 0))
+    intercept[IllegalArgumentException](Experiments.benchBudget.copy(beamWidth = 0))
+    assert(Experiments.benchBudget.numFeatures == 40) // paper: 8 templates x 5 queries
   }
 }

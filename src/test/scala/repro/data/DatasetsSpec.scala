@@ -42,7 +42,7 @@ class DatasetsSpec extends SparkSpec {
   test("keys in the training table are unique (it is a proper training table)") {
     all.foreach { td =>
       val n = td.train.count()
-      assert(td.train.select(td.keys.map(org.apache.spark.sql.functions.col): _*).distinct.count() == n, td.name)
+      assert(td.train.select(td.keys.map(org.apache.spark.sql.functions.col): _*).distinct().count() == n, td.name)
     }
   }
 

@@ -85,7 +85,7 @@ class TPESpec extends AnyFunSuite with PropSupport {
   test("suggest always returns a valid point") {
     val tpe = new TPE(space, 4)
     val rnd = new Random(4)
-    val hist = Vector.tabulate(20)(i => { val p = space.randomPoint(rnd); (p, loss(p)) })
+    val hist = Vector.fill(20) { val p = space.randomPoint(rnd); (p, loss(p)) }
     (1 to 50).foreach(_ => assert(space.contains(tpe.suggest(hist, rnd))))
   }
 

@@ -9,7 +9,7 @@ class DeepFMSpec extends AnyFunSuite {
     val rnd = new Random(1)
     val x = Array.fill(400)(Array(rnd.nextGaussian(), rnd.nextGaussian()))
     val y = x.map(r => if (r(0) - r(1) > 0) 1.0 else 0.0)
-    val pred = new DeepFMTrainer(BinaryClassification, epochs = 20).fit(DenseData(x, y))
+    val pred = new DeepFMTrainer(BinaryClassification, epochs = 20, seed = 23L).fit(DenseData(x, y))
     val auc = Metrics.auc(y, pred.scoresAll(x).map(_(0)))
     assert(auc > 0.95, s"AUC $auc")
   }
@@ -18,7 +18,7 @@ class DeepFMSpec extends AnyFunSuite {
     val rnd = new Random(2)
     val x = Array.fill(500)(Array(rnd.nextGaussian(), rnd.nextGaussian()))
     val y = x.map(r => if (r(0) * r(1) > 0) 1.0 else 0.0) // pure interaction
-    val pred = new DeepFMTrainer(BinaryClassification, epochs = 40).fit(DenseData(x, y))
+    val pred = new DeepFMTrainer(BinaryClassification, epochs = 40, seed = 23L).fit(DenseData(x, y))
     val auc = Metrics.auc(y, pred.scoresAll(x).map(_(0)))
     assert(auc > 0.85, s"AUC $auc (a linear model would be ~0.5)")
   }
@@ -27,7 +27,7 @@ class DeepFMSpec extends AnyFunSuite {
     val rnd = new Random(3)
     val x = Array.fill(400)(Array(rnd.nextGaussian(), rnd.nextGaussian()))
     val y = x.map(r => 2 * r(0) - r(1) + rnd.nextGaussian() * 0.1)
-    val pred = new DeepFMTrainer(Regression, epochs = 30).fit(DenseData(x, y))
+    val pred = new DeepFMTrainer(Regression, epochs = 30, seed = 23L).fit(DenseData(x, y))
     val rmse = Metrics.rmse(y, pred.scoresAll(x).map(_(0)))
     assert(rmse < 0.8, s"RMSE $rmse (target sd ~2.2)")
   }
@@ -36,7 +36,7 @@ class DeepFMSpec extends AnyFunSuite {
     val rnd = new Random(4)
     val x = Array.fill(100)(Array(rnd.nextGaussian()))
     val y = x.map(r => if (r(0) > 0) 1.0 else 0.0)
-    val pred = new DeepFMTrainer(BinaryClassification, epochs = 5).fit(DenseData(x, y))
+    val pred = new DeepFMTrainer(BinaryClassification, epochs = 5, seed = 23L).fit(DenseData(x, y))
     pred.scoresAll(x).foreach(s => assert(s(0) >= 0 && s(0) <= 1))
   }
 
@@ -60,7 +60,7 @@ class DeepFMSpec extends AnyFunSuite {
     }
     val y = x.map(r => if (r(7) > 0) 1.0 else 0.0)
     x.foreach(r => r(7) = r(7) * 2 + rnd.nextGaussian() * 0.2)
-    val pred = new DeepFMTrainer(BinaryClassification, epochs = 15).fit(DenseData(x, y))
+    val pred = new DeepFMTrainer(BinaryClassification, epochs = 15, seed = 23L).fit(DenseData(x, y))
     val scores = pred.scoresAll(x).map(_(0))
     assert(scores.forall(s => !s.isNaN && !s.isInfinity))
     val auc = Metrics.auc(y, scores)
@@ -72,7 +72,7 @@ class DeepFMSpec extends AnyFunSuite {
     val n = 1200
     val x = Array.fill(n)(Array.fill(45)(rnd.nextGaussian()))
     val y = x.map(r => 2.5 * r(3) + rnd.nextGaussian() * 3.2) // Merchant-like target
-    val pred = new DeepFMTrainer(Regression, epochs = 15).fit(DenseData(x, y))
+    val pred = new DeepFMTrainer(Regression, epochs = 15, seed = 23L).fit(DenseData(x, y))
     val out = pred.scoresAll(x).map(_(0))
     assert(out.forall(v => !v.isNaN && !v.isInfinity))
     val rmse = Metrics.rmse(y, out)
@@ -80,6 +80,6 @@ class DeepFMSpec extends AnyFunSuite {
   }
 
   test("DeepFM rejects multi-class tasks") {
-    intercept[IllegalArgumentException](new DeepFMTrainer(MultiClassification(3)))
+    intercept[IllegalArgumentException](new DeepFMTrainer(MultiClassification(3), epochs = 25, seed = 23L))
   }
 }

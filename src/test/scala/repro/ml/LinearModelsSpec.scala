@@ -14,21 +14,21 @@ class LinearModelsSpec extends AnyFunSuite {
 
   test("logistic regression separates linearly separable data") {
     val data = linearlySeparable(300, 1)
-    val pred = new LogisticRegressionTrainer(BinaryClassification).fit(data)
+    val pred = new LogisticRegressionTrainer(BinaryClassification, epochs = 150, seed = 7L).fit(data)
     val auc = Metrics.auc(data.y, pred.scoresAll(data.x).map(_(0)))
     assert(auc > 0.98, s"AUC $auc")
   }
 
   test("logistic regression emits probabilities in [0, 1]") {
     val data = linearlySeparable(100, 2)
-    val pred = new LogisticRegressionTrainer(BinaryClassification).fit(data)
+    val pred = new LogisticRegressionTrainer(BinaryClassification, epochs = 150, seed = 7L).fit(data)
     pred.scoresAll(data.x).foreach(s => assert(s(0) >= 0 && s(0) <= 1))
   }
 
   test("logistic regression is deterministic in seed") {
     val data = linearlySeparable(100, 3)
-    val a = new LogisticRegressionTrainer(BinaryClassification, seed = 5).fit(data).scores(data.x(0))(0)
-    val b = new LogisticRegressionTrainer(BinaryClassification, seed = 5).fit(data).scores(data.x(0))(0)
+    val a = new LogisticRegressionTrainer(BinaryClassification, epochs = 150, seed = 5).fit(data).scores(data.x(0))(0)
+    val b = new LogisticRegressionTrainer(BinaryClassification, epochs = 150, seed = 5).fit(data).scores(data.x(0))(0)
     assert(a == b)
   }
 
@@ -39,14 +39,14 @@ class LinearModelsSpec extends AnyFunSuite {
       Array(c * 4.0 + rnd.nextGaussian() * 0.3, -c * 4.0 + rnd.nextGaussian() * 0.3)
     }
     val y = Array.tabulate(300)(i => (i % 3).toDouble)
-    val pred = new LogisticRegressionTrainer(MultiClassification(3)).fit(DenseData(x, y))
+    val pred = new LogisticRegressionTrainer(MultiClassification(3), epochs = 150, seed = 7L).fit(DenseData(x, y))
     val f1 = Metrics.taskMetric(MultiClassification(3), y, pred.scoresAll(x))
     assert(f1 > 0.95, s"F1 $f1")
   }
 
   test("softmax probabilities sum to one") {
     val data = linearlySeparable(60, 5)
-    val pred = new LogisticRegressionTrainer(MultiClassification(3)).fit(
+    val pred = new LogisticRegressionTrainer(MultiClassification(3), epochs = 150, seed = 7L).fit(
       DenseData(data.x, data.y.map(v => v * 2))) // classes 0 and 2
     val s = pred.scores(data.x(0))
     assert(math.abs(s.sum - 1.0) < 1e-9)
@@ -54,7 +54,7 @@ class LinearModelsSpec extends AnyFunSuite {
   }
 
   test("logistic trainer rejects regression tasks") {
-    intercept[IllegalArgumentException](new LogisticRegressionTrainer(Regression))
+    intercept[IllegalArgumentException](new LogisticRegressionTrainer(Regression, epochs = 150, seed = 7L))
   }
 
   test("ridge regression recovers a linear function") {

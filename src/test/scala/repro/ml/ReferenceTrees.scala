@@ -25,11 +25,8 @@ object ReferenceTrees {
 
   /** CART that stably sorts each node's (ascending) rows by every scanned feature. */
   final class SortPerNodeTree(maxDepth: Int, featureFraction: Double, seed: Long) {
+    import SortPerNodeTree._
     private val minSamplesLeaf = RegressionTree.MinSamplesLeaf
-    private sealed trait Node
-    private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
-    private final case class Leaf(value: Double) extends Node
-
     private var root: Node = Leaf(0.0)
     private val rnd = new Random(seed)
 
@@ -107,6 +104,12 @@ object ReferenceTrees {
     }
   }
 
+  object SortPerNodeTree {
+    private sealed trait Node
+    private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
+    private final case class Leaf(value: Double) extends Node
+  }
+
   /** [[RandomForestTrainer]] over [[SortPerNodeTree]]s. */
   final class RandomForest(task: Task, numTrees: Int, seed: Long) extends Trainer {
     override def fit(data: DenseData): Predictor = {
@@ -143,10 +146,7 @@ object ReferenceTrees {
 
   /** [[GradientBoostingTrainer]] over [[SortPerNodeTree]]s. */
   final class GradientBoosting(task: Task, numTrees: Int, seed: Long) extends Trainer {
-    private val learningRate = GradientBoostingTrainer.LearningRate
-    private final case class Head(base: Double, trees: Array[SortPerNodeTree]) {
-      def raw(row: Array[Double]): Double = base + trees.iterator.map(_.predict(row)).sum * learningRate
-    }
+    import GradientBoosting._
 
     override def fit(data: DenseData): Predictor = {
       val heads: Array[Head] = task match {
@@ -188,6 +188,13 @@ object ReferenceTrees {
         tree
       }
       Head(base, trees)
+    }
+  }
+
+  object GradientBoosting {
+    private val learningRate = GradientBoostingTrainer.LearningRate
+    private final case class Head(base: Double, trees: Array[SortPerNodeTree]) {
+      def raw(row: Array[Double]): Double = base + trees.iterator.map(_.predict(row)).sum * learningRate
     }
   }
 }
