@@ -14,6 +14,13 @@ final case class QueryTemplate(
   require(aggAttrs.nonEmpty, "template needs at least one aggregation attribute")
   require(keys.nonEmpty, "template needs at least one foreign-key attribute")
   require(predAttrs.distinct == predAttrs, s"duplicate predicate attrs in $predAttrs")
+
+  /** Every `agg(a)` query on the full key set without predicates, F-major
+    * then A: the paper's Featuretools baseline (Kanter & Veeramachaneni,
+    * DSAA'15), depth-1 Deep Feature Synthesis over one relevant table.
+    */
+  def predicateFreeQueries: Vector[QuerySpec] =
+    for (agg <- aggFuncs; attr <- aggAttrs) yield QuerySpec(agg, attr, Vector.empty, keys)
 }
 
 object QueryTemplate {

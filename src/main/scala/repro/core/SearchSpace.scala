@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StringType
-import repro.hpo.{Dim, ParamSpace}
+import repro.hpo.ParamSpace
 
 /** The value domain of one predicate attribute, extracted from the relevant
   * table: distinct values for categorical (string) attributes, quantile cut
@@ -11,19 +11,20 @@ import repro.hpo.{Dim, ParamSpace}
   * bounds to observed domain values; quantiles keep the dimension small and
   * data-adaptive).
   */
-sealed trait AttrDomain { def name: String }
-final case class CatDomain(name: String, values: Vector[String]) extends AttrDomain {
-  require(values.nonEmpty, s"empty categorical domain for $name")
+sealed trait AttrDomain
+final case class CatDomain(values: Vector[String]) extends AttrDomain {
+  require(values.nonEmpty, "empty categorical domain")
 }
-final case class NumDomain(name: String, cuts: Vector[Double]) extends AttrDomain {
-  require(cuts.nonEmpty, s"empty numeric domain for $name")
+final case class NumDomain(cuts: Vector[Double]) extends AttrDomain {
+  require(cuts.nonEmpty, "empty numeric domain")
 }
 
 object SearchSpace {
 
   /** Extract domains for `attrs` from the relevant table. Categorical =
-    * StringType (top `maxCats` values by frequency, ties broken by value);
-    * numeric/datetime-as-number = `numQuantiles` distinct quantile cuts.
+    * StringType (top `maxCats` non-NULL values by frequency, ties broken by
+    * value; `a = NULL` selects no row); numeric/datetime-as-number =
+    * `numQuantiles` distinct quantile cuts of the non-NULL values.
     */
   def domains(relevant: DataFrame, attrs: Seq[String], maxCats: Int, numQuantiles: Int): Map[String, AttrDomain] = {
     attrs.map { a =>
@@ -31,17 +32,17 @@ object SearchSpace {
         .getOrElse(throw new IllegalArgumentException(s"attr $a not in relevant table"))
       val dom: AttrDomain = field.dataType match {
         case StringType =>
-          val vals = relevant.groupBy(col(a)).count()
+          val vals = relevant.where(col(a).isNotNull).groupBy(col(a)).count()
             .orderBy(desc("count"), asc(a))
             .limit(maxCats)
             .collect()
             .map(_.getString(0))
             .toVector
-          CatDomain(a, vals)
+          CatDomain(vals)
         case _ =>
           val probs = (1 to numQuantiles).map(_.toDouble / (numQuantiles + 1)).toArray
           val cuts = relevant.stat.approxQuantile(a, probs, 0.01).distinct.sorted.toVector
-          NumDomain(a, cuts)
+          NumDomain(cuts)
       }
       a -> dom
     }.toMap
@@ -62,28 +63,16 @@ object SearchSpace {
 final class QueryVectorCodec(val template: QueryTemplate, val domains: Map[String, AttrDomain]) {
   template.predAttrs.foreach(a => require(domains.contains(a), s"no domain for predicate attr $a"))
 
-  /** Ordered predicate slot descriptors: (attr, isLowBound-for-numeric). */
-  private val predSlots: Vector[(String, AttrDomain, Int)] =
-    template.predAttrs.flatMap { a =>
-      domains(a) match {
-        case d: CatDomain => Vector((a, d, 0))
-        case d: NumDomain => Vector((a, d, 0), (a, d, 1))
-      }
-    }
-
   val space: ParamSpace = ParamSpace(
-    Vector(
-      Dim("aggFunc", template.aggFuncs.size),
-      Dim("aggAttr", template.aggAttrs.size),
-    ) ++ predSlots.map {
-      case (a, d: CatDomain, _)     => Dim(s"pred:$a", d.values.size + 1)
-      case (a, d: NumDomain, which) => Dim(s"pred:$a:${if (which == 0) "lo" else "hi"}", d.cuts.size + 1)
-      case (a, d, w)                => throw new IllegalStateException(s"unreachable slot ($a, $d, $w)")
-    } ++ template.keys.map(k => Dim(s"key:$k", 2))
-  )
+    Vector(template.aggFuncs.size, template.aggAttrs.size) ++
+      template.predAttrs.flatMap(a => domains(a) match {
+        case d: CatDomain => Vector(d.values.size + 1)
+        case d: NumDomain => Vector(d.cuts.size + 1, d.cuts.size + 1) // lo, hi
+      }) ++
+      template.keys.map(_ => 2))
 
   def decode(v: Vector[Int]): QuerySpec = {
-    require(space.contains(v), s"vector $v outside ${space.dims.map(_.size)}")
+    require(space.contains(v), s"vector $v outside ${space.sizes}")
     val agg = template.aggFuncs(v(0))
     val aggAttr = template.aggAttrs(v(1))
     var i = 2

@@ -76,13 +76,13 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
 
   /** FeatAug under `config`, listed as `label`. */
   private def featAug(label: String, config: FeatAugConfig): Method =
-    memo(config, label)((p, mk) => Some(Methods.runFeatAug(p, mk, config)._1))
+    memo(config, label)((p, mk) => Some(p.runFeatAug(mk, config)._1))
 
   private def selectors(sels: Vector[FeatureSelectors.Selector]): Vector[Method] =
-    sels.map(sel => memo(sel.name, sel.name)(Methods.runFTSelector(_, _, sel)))
+    sels.map(sel => memo(sel.name, sel.name)(_.runFTSelector(_, sel)))
 
-  private val ft = baseline("FT")(Methods.runFT)
-  private val random = baseline("Random")(Methods.runRandom(_, _))
+  private val ft = baseline("FT")(_.runFT(_))
+  private val random = baseline("Random")(_.runRandom(_))
 
   private def fmtOpt(v: Option[Double]): String = v.fold("-")(x => f"$x%.4f")
 
@@ -135,9 +135,9 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
     "Table VI: single-table / one-to-one results (macro F1 up)",
     oneToOne, oneToOneModels, "Method",
     (ft +: selectors(FeatureSelectors.all.filterNot(Set(ForwardSel, BackwardSel)))) ++ Vector(
-      baseline("ARDA")(Methods.runARDA(_, _)),
-      baseline("AutoFeat-MAB")(Methods.runAutoFeature(_, _, AutoFeature.MAB)),
-      baseline("AutoFeat-DQN")(Methods.runAutoFeature(_, _, AutoFeature.DQN)),
+      baseline("ARDA")(_.runARDA(_)),
+      baseline("AutoFeat-MAB")(_.runAutoFeature(_, AutoFeature.MAB)),
+      baseline("AutoFeat-DQN")(_.runAutoFeature(_, AutoFeature.DQN)),
       random, featAug("FeatAug", full)))
 
   /** Table VII: ablation (NoQTI / NoWU / Full). */

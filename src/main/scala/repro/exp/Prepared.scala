@@ -2,31 +2,33 @@ package repro.exp
 
 import scala.collection.mutable
 import org.apache.spark.sql.functions.col
-import repro.baselines.Featuretools
+import repro.baselines._
 import repro.core._
 import repro.data.TaskDef
 import repro.ml._
-import repro.proxy.ProxyKind
+import repro.proxy.{MIProxy, ProxyKind}
 
 /** One dataset prepared for experiments: training rows collected once
   * (keys / base features / label all from the same collect, so alignment
   * is guaranteed), predicate domains extracted, feature executor ready, and
   * a feature store shared across every method and model so identical
   * queries are never re-executed.
+  *
+  * Each compared method is a `run*` method: all of them augment
+  * `numFeatures` features (paper: 40) and are scored by [[finalMetric]].
   */
 final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long = 42L) {
 
-  private val rows =
-    td.train.select((td.keys ++ td.baseFeatures :+ td.label).map(col): _*).collect()
-  require(rows.nonEmpty, s"${td.name}: empty training table")
+  // `rows` is local to this block, so it is garbage once the arrays are built.
+  val (keyRows, baseX, y) = {
+    val rows = td.train.select((td.keys ++ td.baseFeatures :+ td.label).map(col): _*).collect()
+    require(rows.nonEmpty, s"${td.name}: empty training table")
+    (rows.map(r => Vector.tabulate(td.keys.size)(i => String.valueOf(r.get(i)))),
+      rows.map(r => Array.tabulate(td.baseFeatures.size)(j => num(r.get(td.keys.size + j)))),
+      rows.map(r => num(r.get(td.keys.size + td.baseFeatures.size))))
+  }
 
-  val keyRows: Array[Vector[String]] =
-    rows.map(r => Vector.tabulate(td.keys.size)(i => String.valueOf(r.get(i))))
-  val baseX: Array[Array[Double]] =
-    rows.map(r => Array.tabulate(td.baseFeatures.size)(j => num(r.get(td.keys.size + j))))
-  val y: Array[Double] = rows.map(r => num(r.get(td.keys.size + td.baseFeatures.size)))
-
-  val split: Splits.Split = Splits.threeWay(rows.length, splitSeed)
+  val split: Splits.Split = Splits.threeWay(y.length, splitSeed)
   val executor = new FeatureQueryExecutor(td.relevant, td.keys, keyRows)
   val domains: Map[String, AttrDomain] =
     SearchSpace.domains(td.relevant, td.predAttrs, budget.maxCats, budget.numQuantiles)
@@ -39,8 +41,7 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
     new Evaluator(executor, baseX, y, td.task, modelKind, split, proxy, seed, featureStore = featureStore)
 
   /** The full Featuretools candidate pool (predicate-free agg queries). */
-  lazy val ftCandidates: Vector[Array[Double]] =
-    Featuretools.candidateSpecs(template(Vector.empty)).map(feature)
+  lazy val ftCandidates: Vector[Array[Double]] = template(Vector.empty).predicateFreeQueries.map(feature)
 
   /** Direct-join candidates (each relevant column as-is, via a one-to-one
     * AVG aggregate) for the ARDA / AutoFeature baselines, in
@@ -65,6 +66,47 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
     require(!m.isNaN && !m.isInfinite,
       s"${td.name} / ${modelKind.name} with ${features.size} feature(s): non-finite test metric $m")
     m
+  }
+
+  /** Plain Featuretools: first k candidates in enumeration order. */
+  def runFT(mk: ModelKind): Double = finalMetric(mk, ftCandidates.take(budget.numFeatures))
+
+  /** Featuretools + a selector; None when the selector doesn't apply to
+    * the task (Chi2/Gini on regression — the paper's blank cells).
+    */
+  def runFTSelector(mk: ModelKind, sel: FeatureSelectors.Selector): Option[Double] = {
+    if (!FeatureSelectors.supports(sel, td.task)) None
+    else {
+      val idx = FeatureSelectors.select(sel, baseX, ftCandidates, y, td.task, mk, split, budget.numFeatures)
+      Some(finalMetric(mk, idx.map(ftCandidates)))
+    }
+  }
+
+  /** The Random baseline: random templates + random pool search. */
+  def runRandom(mk: ModelKind, seed: Long = 1L): Double = {
+    val ev = evaluator(mk, MIProxy, seed)
+    val res = FeatAug.selectQueriesRandom(td.predAttrs, codec, ev, budget, seed)
+    finalMetric(mk, res.queries.map(feature))
+  }
+
+  /** FeatAug with the given configuration; returns (metric, run trace). */
+  def runFeatAug(mk: ModelKind, config: FeatAugConfig): (Double, FeatAug.RunResult) = {
+    val ev = evaluator(mk, config.proxy, config.seed)
+    val res = FeatAug.selectQueries(td.predAttrs, codec, ev, config)
+    (finalMetric(mk, res.queries.map(feature)), res)
+  }
+
+  /** ARDA (one-to-one scenario only). */
+  def runARDA(mk: ModelKind, seed: Long = 3L): Double = {
+    val idx = ARDA.select(baseX, directCandidates, y, td.task, split, budget.numFeatures, seed = seed)
+    finalMetric(mk, idx.map(directCandidates))
+  }
+
+  /** AutoFeature with the MAB or DQN agent (one-to-one scenario only). */
+  def runAutoFeature(mk: ModelKind, agent: AutoFeature.Agent, seed: Long = 4L): Double = {
+    val idx = AutoFeature.select(agent, baseX, directCandidates, y, td.task, mk,
+      split, budget.numFeatures, seed = seed)
+    finalMetric(mk, idx.map(directCandidates))
   }
 
   /** A collected value as a double; NULL reads as 0.0. */

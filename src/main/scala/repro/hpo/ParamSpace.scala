@@ -2,7 +2,8 @@ package repro.hpo
 
 import scala.util.Random
 
-/** A discrete search space: every dimension is a categorical index domain.
+/** A discrete search space: dimension `i` is the categorical index domain
+  * `0 until sizes(i)`.
   *
   * FeatAug maps query vectors (Section V-A) to this space: aggregation
   * function index, aggregation attribute index, one slot per categorical
@@ -10,18 +11,15 @@ import scala.util.Random
   * predicate attribute (quantile cut points + None for each bound), and one
   * binary slot per foreign-key attribute.
   */
-final case class ParamSpace(dims: Vector[Dim]) {
-  require(dims.nonEmpty, "empty search space")
-  require(dims.forall(_.size >= 1), "every dimension needs >= 1 value")
+final case class ParamSpace(sizes: Vector[Int]) {
+  require(sizes.nonEmpty, "empty search space")
+  require(sizes.forall(_ >= 1), "every dimension needs >= 1 value")
 
-  def randomPoint(rnd: Random): Vector[Int] = dims.map(d => rnd.nextInt(d.size))
+  def randomPoint(rnd: Random): Vector[Int] = sizes.map(n => rnd.nextInt(n))
 
   def contains(p: Vector[Int]): Boolean =
-    p.length == dims.length && p.indices.forall(i => p(i) >= 0 && p(i) < dims(i).size)
+    p.length == sizes.length && p.indices.forall(i => p(i) >= 0 && p(i) < sizes(i))
 }
-
-/** One categorical dimension with `size` choices, named for debuggability. */
-final case class Dim(name: String, size: Int)
 
 /** The trace of a search: every (point, loss) evaluated plus the best. */
 final case class SearchResult(history: Vector[(Vector[Int], Double)]) {

@@ -48,8 +48,8 @@ final class TPE(space: ParamSpace, seed: Long) {
     val nGood = math.max(1, math.ceil(Gamma * sorted.size).toInt)
     val good = sorted.take(nGood).map(_._1)
     val bad = sorted.drop(nGood).map(_._1)
-    val goodDist = space.dims.indices.map(d => parzen(d, good)).toVector
-    val badDist = space.dims.indices.map(d => parzen(d, if (bad.nonEmpty) bad else good)).toVector
+    val goodDist = space.sizes.indices.map(d => parzen(d, good)).toVector
+    val badDist = space.sizes.indices.map(d => parzen(d, if (bad.nonEmpty) bad else good)).toVector
 
     var best: Vector[Int] = null
     var bestScore = Double.NegativeInfinity
@@ -70,7 +70,7 @@ final class TPE(space: ParamSpace, seed: Long) {
 
   /** Smoothed categorical density for dimension `d` from observed points. */
   private def parzen(d: Int, points: Vector[Vector[Int]]): Array[Double] = {
-    val size = space.dims(d).size
+    val size = space.sizes(d)
     val counts = new Array[Double](size)
     java.util.Arrays.fill(counts, PriorWeight / size)
     points.foreach(p => counts(p(d)) += 1.0)

@@ -11,20 +11,20 @@ import scala.util.Random
 class BaselinesSpec extends SparkSpec with MiniData {
 
   test("Featuretools enumerates |F| x |A| predicate-free queries") {
-    val specs = Featuretools.candidateSpecs(template)
+    val specs = template.predicateFreeQueries
     assert(specs.size == template.aggFuncs.size * template.aggAttrs.size)
     assert(specs.forall(_.preds.isEmpty))
     assert(specs.forall(_.keys == template.keys))
   }
 
   test("Featuretools enumeration order is deterministic") {
-    val a = Featuretools.candidateSpecs(template).map(_.cacheKey)
-    val b = Featuretools.candidateSpecs(template).map(_.cacheKey)
+    val a = template.predicateFreeQueries.map(_.cacheKey)
+    val b = template.predicateFreeQueries.map(_.cacheKey)
     assert(a == b)
   }
 
   test("Featuretools materializes aligned feature columns through Spark") {
-    val specs = Featuretools.candidateSpecs(template)
+    val specs = template.predicateFreeQueries
     val feats = specs.map(executor.featureValues)
     assert(feats.forall(_.length == nUsers))
     val sumAmt = feats(specs.indexWhere(q => q.agg == AggFunc.Sum && q.aggAttr == "amt"))

@@ -35,16 +35,16 @@ class CodecSpec extends SparkSpec with MiniData with PropSupport {
   }
 
   test("space layout: agg dims, 1 slot per categorical, 2 per numeric, key bits") {
-    val dims = codec.space.dims
+    val sizes = codec.space.sizes
     // [aggFunc(5), aggAttr(2), cat(|vals|+1), t-lo(|cuts|+1), t-hi(|cuts|+1), key:uid(2)]
-    assert(dims.size == 6)
-    assert(dims(0).size == template.aggFuncs.size)
-    assert(dims(1).size == template.aggAttrs.size)
+    assert(sizes.size == 6)
+    assert(sizes(0) == template.aggFuncs.size)
+    assert(sizes(1) == template.aggAttrs.size)
     val catSize = domains("cat").asInstanceOf[CatDomain].values.size
     val numSize = domains("t").asInstanceOf[NumDomain].cuts.size
-    assert(dims(2).size == catSize + 1)
-    assert(dims(3).size == numSize + 1 && dims(4).size == numSize + 1)
-    assert(dims(5).size == 2)
+    assert(sizes(2) == catSize + 1)
+    assert(sizes(3) == numSize + 1 && sizes(4) == numSize + 1)
+    assert(sizes(5) == 2)
   }
 
   test("domains: categorical values come from the table, cuts are sorted distinct") {
@@ -56,6 +56,26 @@ class CodecSpec extends SparkSpec with MiniData with PropSupport {
 
   test("domains reject unknown attributes") {
     intercept[IllegalArgumentException](SearchSpace.domains(relevant, Seq("nope"), maxCats = 6, numQuantiles = 5))
+  }
+
+  test("categorical domains never offer NULL, so every decoded query renders") {
+    val s = spark
+    import s.implicits._
+    // NULL is the most frequent value of `cat`.
+    val withNull = Seq[(Long, Option[String], Double)](
+      (1L, None, 1.0), (1L, None, 2.0), (2L, None, 3.0), (2L, Some("B"), 4.0), (3L, Some("A"), 5.0))
+      .toDF("uid", "cat", "amt")
+    val dom = SearchSpace.domains(withNull, Seq("cat"), maxCats = 6, numQuantiles = 5)
+    assert(dom("cat").asInstanceOf[CatDomain].values == Vector("A", "B"))
+    val c = new QueryVectorCodec(QueryTemplate(MiniData.basic, Vector("amt"), Vector("cat"), Vector("uid")), dom)
+    val points = c.space.sizes.foldLeft(Vector(Vector.empty[Int])) { (vs, n) =>
+      for (v <- vs; i <- 0 until n) yield v :+ i
+    }
+    assert(points.size == 5 * 1 * 3 * 2)
+    points.foreach(v => assert(executor.duckSql(c.decode(v), "r").startsWith("SELECT uid, ")))
+    val allNull = intercept[IllegalArgumentException](
+      SearchSpace.domains(withNull.where($"cat".isNull), Seq("cat"), maxCats = 6, numQuantiles = 5))
+    assert(allNull.getMessage.contains("empty categorical domain"))
   }
 
   test("codec rejects predicate attrs without domains") {
@@ -128,6 +148,6 @@ class CodecSpec extends SparkSpec with MiniData with PropSupport {
     val numSize = domains("t").asInstanceOf[NumDomain].cuts.size + 1
     // Definition 2's slots: F, A, the categorical value, both numeric bounds, the key bit.
     val slots = Vector(5, 2, catSize, numSize, numSize, 2)
-    assert(codec.space.dims.map(_.size) == slots)
+    assert(codec.space.sizes == slots)
   }
 }

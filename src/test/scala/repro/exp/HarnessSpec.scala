@@ -45,7 +45,7 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("finalMetric returns a valid AUC for binary tasks") {
-    val m = Methods.runFT(tmall, LRModel)
+    val m = tmall.runFT(LRModel)
     assert(m >= 0.0 && m <= 1.0)
   }
 
@@ -56,21 +56,21 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("runFTSelector skips unsupported combinations and runs supported ones") {
-    assert(Methods.runFTSelector(merchant, LRModel, FeatureSelectors.Chi2Sel).isEmpty)
-    assert(Methods.runFTSelector(tmall, LRModel, FeatureSelectors.MISel).isDefined)
+    assert(merchant.runFTSelector(LRModel, FeatureSelectors.Chi2Sel).isEmpty)
+    assert(tmall.runFTSelector(LRModel, FeatureSelectors.MISel).isDefined)
   }
 
   test("runRandom and runFeatAug complete and produce valid metrics") {
-    val r = Methods.runRandom(tmall, LRModel)
-    val (f, trace) = Methods.runFeatAug(tmall, LRModel, FeatAugConfig(budget = budget, seed = 1))
+    val r = tmall.runRandom(LRModel)
+    val (f, trace) = tmall.runFeatAug(LRModel, FeatAugConfig(budget = budget, seed = 1))
     assert(r >= 0.0 && r <= 1.0)
     assert(f >= 0.0 && f <= 1.0)
     assert(trace.queries.nonEmpty && trace.realEvaluations > 0)
   }
 
   test("runARDA and runAutoFeature work on the one-to-one dataset") {
-    val a = Methods.runARDA(covtype, XGBModel)
-    val m = Methods.runAutoFeature(covtype, XGBModel, repro.baselines.AutoFeature.MAB)
+    val a = covtype.runARDA(XGBModel)
+    val m = covtype.runAutoFeature(XGBModel, repro.baselines.AutoFeature.MAB)
     assert(a >= 0.0 && a <= 1.0)
     assert(m >= 0.0 && m <= 1.0)
   }

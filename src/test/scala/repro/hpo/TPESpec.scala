@@ -7,7 +7,7 @@ import scala.util.Random
 
 class TPESpec extends AnyFunSuite with PropSupport {
 
-  private val space = ParamSpace(Vector(Dim("a", 10), Dim("b", 10), Dim("c", 5)))
+  private val space = ParamSpace(Vector(10, 10, 5))
 
   /** Loss with a unique optimum at (7, 2, 3). */
   private def loss(p: Vector[Int]): Double =
@@ -15,7 +15,7 @@ class TPESpec extends AnyFunSuite with PropSupport {
 
   test("ParamSpace validates its dimensions") {
     intercept[IllegalArgumentException](ParamSpace(Vector.empty))
-    intercept[IllegalArgumentException](ParamSpace(Vector(Dim("x", 0))))
+    intercept[IllegalArgumentException](ParamSpace(Vector(0)))
   }
 
   test("random points are always inside the space") {
@@ -108,7 +108,7 @@ class TPESpec extends AnyFunSuite with PropSupport {
   }
 
   test("works on a single-dimension space") {
-    val s1 = ParamSpace(Vector(Dim("only", 6)))
+    val s1 = ParamSpace(Vector(6))
     val res = new TPE(s1, 1).minimize(p => math.abs(p(0) - 4).toDouble, 20)
     assert(res.best._2 == 0.0)
   }
