@@ -16,27 +16,18 @@ object ARDA {
   /** Select up to `k` candidate indices: those whose importance beats the
     * [[Tau]] quantile of [[NoiseCols]] injected noise columns' importances.
     */
-  def select(
-      base: Array[Array[Double]],
-      candidates: Vector[Array[Double]],
-      y: Array[Double],
-      task: Task,
-      split: Splits.Split,
-      k: Int,
-      seed: Long,
-  ): Vector[Int] = {
-    require(candidates.nonEmpty, "ARDA needs candidates")
+  def select(pool: CandidatePool, k: Int, seed: Long): Vector[Int] = {
+    require(pool.columns.nonEmpty, "ARDA needs candidates")
     val rnd = new Random(seed)
-    val n = y.length
-    val noise = Vector.fill(NoiseCols)(Array.fill(n)(rnd.nextGaussian()))
+    val noise = Vector.fill(NoiseCols)(Array.fill(pool.y.length)(rnd.nextGaussian()))
 
-    val data = DenseData.appendColumns(base, candidates ++ noise, y).select(split.train)
+    val data = pool.trainData(noise)
     val (x, yt) = (data.x, data.y)
 
     // Importance from a bagged tree ensemble over indicator targets.
     val imp = new Array[Double](x(0).length)
     val ranks = RegressionTree.ranks(x)
-    Task.headTargets(task, yt).zipWithIndex.foreach { case (t, ti) =>
+    Task.headTargets(pool.task, yt).zipWithIndex.foreach { case (t, ti) =>
       (0 until 8).foreach { b =>
         val bag = Array.fill(x.length)(rnd.nextInt(x.length))
         val tree = new RegressionTree(maxDepth = 4, featureFraction = 0.7, seed = seed + 131L * (ti * 8 + b))
@@ -44,14 +35,12 @@ object ARDA {
         tree.addImportance(imp)
       }
     }
-    val nb = base(0).length
-    val candImp = candidates.indices.map(i => imp(nb + i))
-    val noiseImp = noise.indices.map(i => imp(nb + candidates.size + i)).sorted
+    val candImp = pool.columns.indices.map(c => imp(pool.at(c)))
+    val noiseImp = noise.indices.map(i => imp(pool.at(pool.columns.size + i))).sorted
     val cutoff = noiseImp((Tau * (noiseImp.size - 1)).toInt)
-    val kept = candidates.indices.filter(i => candImp(i) > cutoff)
-    val ranked = kept.sortBy(i => -candImp(i)).take(k).toVector
+    val ranked = pool.top(pool.columns.size)(candImp).filter(c => candImp(c) > cutoff).take(k)
     // Degenerate guard: if the threshold kills everything, keep the single
     // best real feature (ARDA always returns a non-empty augmentation).
-    if (ranked.nonEmpty) ranked else Vector(candidates.indices.maxBy(candImp))
+    if (ranked.nonEmpty) ranked else Vector(pool.columns.indices.maxBy(candImp))
   }
 }

@@ -24,22 +24,12 @@ object AutoFeature {
   private val Iterations = 60 // agent steps per episode, one model fit each
 
   /** Run the augmentation episode; returns selected candidate indices. */
-  def select(
-      agent: Agent,
-      base: Array[Array[Double]],
-      candidates: Vector[Array[Double]],
-      y: Array[Double],
-      task: Task,
-      modelKind: ModelKind,
-      split: Splits.Split,
-      k: Int,
-      seed: Long,
-  ): Vector[Int] = {
-    require(candidates.nonEmpty, "AutoFeature needs candidates")
+  def select(agent: Agent, pool: CandidatePool, modelKind: ModelKind, k: Int, seed: Long): Vector[Int] = {
+    require(pool.columns.nonEmpty, "AutoFeature needs candidates")
     val rnd = new Random(seed)
-    val nArms = candidates.size
+    val nArms = pool.columns.size
     val selected = scala.collection.mutable.ArrayBuffer.empty[Int]
-    var current = FeatureSelectors.evalSet(base, candidates, Vector.empty, y, task, modelKind, split, seed)
+    var current = pool.evalSet(Vector.empty, modelKind, seed)
 
     // MAB state
     val pulls = new Array[Int](nArms)
@@ -53,7 +43,7 @@ object AutoFeature {
     var it = 0
     var totalPulls = 0
     while (it < Iterations && selected.size < k) {
-      val available = candidates.indices.filterNot(selected.contains)
+      val available = pool.columns.indices.filterNot(selected.contains)
       if (available.isEmpty) return selected.toVector
       val arm = agent match {
         case MAB =>
@@ -66,8 +56,7 @@ object AutoFeature {
           if (rnd.nextDouble() < epsilon) available(rnd.nextInt(available.size))
           else available.maxBy(a => qValue(qw(a), selected.size, k, lastReward))
       }
-      val metric = FeatureSelectors.evalSet(
-        base, candidates, selected.toVector :+ arm, y, task, modelKind, split, seed)
+      val metric = pool.evalSet(selected.toVector :+ arm, modelKind, seed)
       val reward = metric - current
       if (reward > 0) { selected += arm; current = metric }
       pulls(arm) += 1; totalPulls += 1; rewardSum(arm) += reward

@@ -41,14 +41,17 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
     new Evaluator(executor, baseX, y, td.task, modelKind, split, proxy, seed, featureStore = featureStore)
 
   /** The full Featuretools candidate pool (predicate-free agg queries). */
-  lazy val ftCandidates: Vector[Array[Double]] = template(Vector.empty).predicateFreeQueries.map(feature)
+  lazy val ftCandidates: CandidatePool = pool(template(Vector.empty).predicateFreeQueries.map(feature))
 
   /** Direct-join candidates (each relevant column as-is, via a one-to-one
     * AVG aggregate) for the ARDA / AutoFeature baselines, in
     * [[TaskDef.directJoinAttrs]] order.
     */
-  lazy val directCandidates: Vector[Array[Double]] =
-    td.directJoinAttrs.map(a => feature(QuerySpec(AggFunc.Avg, a, Vector.empty, td.keys)))
+  lazy val directCandidates: CandidatePool =
+    pool(td.directJoinAttrs.map(a => feature(QuerySpec(AggFunc.Avg, a, Vector.empty, td.keys))))
+
+  private def pool(columns: Vector[Array[Double]]): CandidatePool =
+    CandidatePool(baseX, columns, y, td.task, split.train, split.valid)
 
   /** Materialize a query's feature through the shared store, holding the
     * store's monitor as [[Evaluator.feature]] does (DESIGN.md §5).
@@ -69,7 +72,7 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
   }
 
   /** Plain Featuretools: first k candidates in enumeration order. */
-  def runFT(mk: ModelKind): Double = finalMetric(mk, ftCandidates.take(budget.numFeatures))
+  def runFT(mk: ModelKind): Double = finalMetric(mk, ftCandidates.columns.take(budget.numFeatures))
 
   /** Featuretools + a selector; None when the selector doesn't apply to
     * the task (Chi2/Gini on regression — the paper's blank cells).
@@ -77,8 +80,8 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
   def runFTSelector(mk: ModelKind, sel: FeatureSelectors.Selector): Option[Double] = {
     if (!FeatureSelectors.supports(sel, td.task)) None
     else {
-      val idx = FeatureSelectors.select(sel, baseX, ftCandidates, y, td.task, mk, split, budget.numFeatures)
-      Some(finalMetric(mk, idx.map(ftCandidates)))
+      val idx = FeatureSelectors.select(sel, ftCandidates, mk, budget.numFeatures)
+      Some(finalMetric(mk, idx.map(ftCandidates.columns)))
     }
   }
 
@@ -98,15 +101,14 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
 
   /** ARDA (one-to-one scenario only). */
   def runARDA(mk: ModelKind, seed: Long = 3L): Double = {
-    val idx = ARDA.select(baseX, directCandidates, y, td.task, split, budget.numFeatures, seed = seed)
-    finalMetric(mk, idx.map(directCandidates))
+    val idx = ARDA.select(directCandidates, budget.numFeatures, seed = seed)
+    finalMetric(mk, idx.map(directCandidates.columns))
   }
 
   /** AutoFeature with the MAB or DQN agent (one-to-one scenario only). */
   def runAutoFeature(mk: ModelKind, agent: AutoFeature.Agent, seed: Long = 4L): Double = {
-    val idx = AutoFeature.select(agent, baseX, directCandidates, y, td.task, mk,
-      split, budget.numFeatures, seed = seed)
-    finalMetric(mk, idx.map(directCandidates))
+    val idx = AutoFeature.select(agent, directCandidates, mk, budget.numFeatures, seed = seed)
+    finalMetric(mk, idx.map(directCandidates.columns))
   }
 
   /** A collected value as a double; NULL reads as 0.0. */

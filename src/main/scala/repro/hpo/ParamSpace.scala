@@ -25,7 +25,9 @@ final case class ParamSpace(sizes: Vector[Int]) {
 final case class SearchResult(history: Vector[(Vector[Int], Double)]) {
   require(history.nonEmpty, "empty search history")
   def best: (Vector[Int], Double) = history.minBy(_._2)
-  /** Distinct points ranked by loss ascending (first occurrence wins). */
+  /** Distinct points ranked by their lowest loss, ascending. Points with equal
+    * loss come in `groupBy`'s hash order, not in the order they were evaluated.
+    */
   def ranked: Vector[(Vector[Int], Double)] =
     history.groupBy(_._1).map { case (p, obs) => (p, obs.map(_._2).min) }.toVector.sortBy(_._2)
 }

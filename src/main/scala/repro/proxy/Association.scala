@@ -90,18 +90,15 @@ object Association {
     val xb = equalFreqBins(feature)
     val yb = y.map(_.toInt)
     val n = xb.length.toDouble
-    val xs = xb.distinct.sorted
-    val ys = yb.distinct.sorted
-    val obs = Array.fill(xs.length, ys.length)(0.0)
+    // Dense (bin, class) counts. A bin or class that no row has sums to 0,
+    // so its cells have e = 0 and are skipped, as if it were not there.
+    val obs = Array.fill(xb.max + 1, yb.max + 1)(0.0)
     var i = 0
-    while (i < xb.length) {
-      obs(xs.indexOf(xb(i)))(ys.indexOf(yb(i))) += 1.0
-      i += 1
-    }
+    while (i < xb.length) { obs(xb(i))(yb(i)) += 1.0; i += 1 }
     val rowSum = obs.map(_.sum)
-    val colSum = ys.indices.map(j => obs.map(_(j)).sum)
+    val colSum = obs(0).indices.map(j => obs.map(_(j)).sum)
     var stat = 0.0
-    for (r <- xs.indices; c <- ys.indices) {
+    for (r <- obs.indices; c <- colSum.indices) {
       val e = rowSum(r) * colSum(c) / n
       if (e > 0) { val d = obs(r)(c) - e; stat += d * d / e }
     }

@@ -1,6 +1,7 @@
 package repro
 
 import scala.util.Random
+import repro.baselines.{ARDA, AutoFeature, CandidatePool, FeatureSelectors}
 import repro.core._
 import repro.exp.Experiments
 import repro.ml._
@@ -8,8 +9,9 @@ import repro.proxy.{Association, MIProxy}
 
 /** Raw-bit fingerprints of the ML and search layers, recorded once: every
   * score of each downstream model on a fixed seeded matrix, the association
-  * scores on fixed columns, and the queries FeatAug(Full) selects on
-  * [[MiniData]]. A change that moves any bit of any of them fails here.
+  * scores on fixed columns, the queries FeatAug(Full) selects on
+  * [[MiniData]], and what each baseline selects from a seeded candidate
+  * pool. A change that moves any bit of any of them fails here.
   */
 class GoldenFingerprintSpec extends SparkSpec with MiniData {
 
@@ -163,5 +165,59 @@ class GoldenFingerprintSpec extends SparkSpec with MiniData {
       assert(goldenQueries.get(kind.name).contains(got),
         got.toSeq.sorted.map(k => s"\"$k\"").mkString(s"\"${kind.name}\" -> Set(", ", ", ")"))
     }
+  }
+
+  /** A seeded pool of 48 candidates over 200 rows: a signal, a weak signal,
+    * an exact copy of it (every score ties), a constant, a few-valued column
+    * and 43 noise columns, so the MI trim of Forward/Backward drops four.
+    */
+  private def selectionPool(task: Task): CandidatePool = {
+    val rnd = new Random(2025)
+    val latent = Array.fill(200)(rnd.nextGaussian())
+    val y = if (task == Regression) latent else latent.map(s => if (s > 0) 1.0 else 0.0)
+    val base = Array.fill(200)(Array(rnd.nextGaussian()))
+    val weak = latent.map(_ + rnd.nextGaussian() * 2.0)
+    val columns = Vector(latent.map(_ * 2 + rnd.nextGaussian() * 0.3), weak, weak.clone(),
+      Array.fill(200)(1.0), latent.map(s => math.rint(s + rnd.nextGaussian()))) ++
+      Vector.fill(43)(Array.fill(200)(rnd.nextGaussian()))
+    val split = Splits.threeWay(200, 5L)
+    CandidatePool(base, columns, y, task, split.train, split.valid)
+  }
+
+  private val goldenSelections: Map[String, Vector[Int]] = Map(
+    "FT+LR/BinaryClassification" -> Vector(0, 4, 23, 38, 2, 1),
+    "FT+GDBT/BinaryClassification" -> Vector(0, 5, 11, 2, 1, 8),
+    "FT+MI/BinaryClassification" -> Vector(0, 4, 1, 2, 13, 44),
+    "FT+Chi2/BinaryClassification" -> Vector(0, 4, 1, 2, 44, 13),
+    "FT+Gini/BinaryClassification" -> Vector(0, 4, 1, 2, 44, 13),
+    "FT+Forward/BinaryClassification" -> Vector(0, 4, 46, 32, 34, 35),
+    "FT+Backward/BinaryClassification" -> Vector(0, 37, 38, 18, 28, 41),
+    "FT+LR/Regression" -> Vector(0, 4, 21, 11, 20, 25),
+    "FT+GDBT/Regression" -> Vector(0, 13, 23, 6, 8, 15),
+    "FT+MI/Regression" -> Vector(0, 4, 1, 2, 35, 5),
+    "FT+Forward/Regression" -> Vector(0, 4, 6, 20, 11, 24),
+    "FT+Backward/Regression" -> Vector(0, 13, 30, 20, 11, 24),
+    "ARDA/BinaryClassification" -> Vector(0, 4, 11, 1, 17, 27),
+    "ARDA/Regression" -> Vector(0, 1, 33, 2, 4, 15),
+    "AutoFeat-MAB/BinaryClassification" -> Vector(0, 4, 18, 28, 6),
+    "AutoFeat-DQN/BinaryClassification" -> Vector(0, 10),
+  )
+
+  test("the selectors, ARDA and AutoFeature make their golden selections") {
+    import FeatureSelectors._
+    val got = (for {
+      task <- Seq(BinaryClassification, Regression)
+      sel <- FeatureSelectors.all
+      if supports(sel, task)
+    } yield s"${sel.name}/$task" -> select(sel, selectionPool(task), LRModel, k = 6)) ++
+      Seq(BinaryClassification, Regression).map { task =>
+        s"ARDA/$task" -> ARDA.select(selectionPool(task), k = 6, seed = 3L)
+      } ++
+      Seq(AutoFeature.MAB, AutoFeature.DQN).map { agent =>
+        s"${agent.name}/$BinaryClassification" ->
+          AutoFeature.select(agent, selectionPool(BinaryClassification), LRModel, k = 6, seed = 4L)
+      }
+    assert(got.toMap == goldenSelections,
+      got.map { case (k, v) => s"\"$k\" -> Vector(${v.mkString(", ")}),"}.mkString("\n"))
   }
 }

@@ -2,7 +2,7 @@ package repro
 
 import scala.collection.mutable
 import scala.util.Random
-import repro.baselines.{ARDA, AutoFeature, FeatureSelectors}
+import repro.baselines.{ARDA, AutoFeature, CandidatePool, FeatureSelectors}
 import repro.core._
 import repro.ml._
 import repro.proxy.{Association, LRProxy, MIProxy, SCProxy}
@@ -53,30 +53,31 @@ class TestSplitIsolationSpec extends SparkSpec with MiniData {
     assert(scores(yArr) == scores(flipTest(yArr, split)))
   }
 
+  private val poolSplit = Splits.threeWay(200, seed = 1L)
+
   /** A binary candidate pool whose columns are drawn once, from the
     * unflipped labels: one signal, one weak and eight noise columns.
     */
-  private val (poolBase, poolCands, poolY) = {
+  private val pool = {
     val rnd = new Random(21)
     val y = Array.fill(200)(if (rnd.nextBoolean()) 1.0 else 0.0)
     val base = Array.fill(200)(Array(rnd.nextGaussian()))
     val signal = y.map(v => v * 2 + rnd.nextGaussian() * 0.2)
     val weak = y.map(v => v + rnd.nextGaussian() * 2.0)
-    (base, signal +: weak +: Vector.fill(8)(Array.fill(200)(rnd.nextGaussian())), y)
+    CandidatePool(base, signal +: weak +: Vector.fill(8)(Array.fill(200)(rnd.nextGaussian())), y,
+      BinaryClassification, poolSplit.train, poolSplit.valid)
   }
-  private val poolSplit = Splits.threeWay(200, seed = 1L)
 
-  /** `select` on the pool's labels and on the same labels with test rows
-    * flipped. Callers ask for every candidate, so a selector returns its
-    * whole ranking and a score that read a test row would likely reorder it.
+  /** `select` on `p` and on `p` with its test labels flipped. Callers ask
+    * for every candidate, so a selector returns its whole ranking and a
+    * score that read a test row would likely reorder it.
     */
-  private def bothWays(select: Array[Double] => Vector[Int]): (Vector[Int], Vector[Int]) =
-    (select(poolY), select(flipTest(poolY, poolSplit)))
+  private def bothWays(p: CandidatePool)(select: CandidatePool => Vector[Int]): (Vector[Int], Vector[Int]) =
+    (select(p), select(p.copy(y = flipTest(p.y, poolSplit))))
 
   for (sel <- FeatureSelectors.all) {
     test(s"${sel.name} selects the same candidates whatever the test labels") {
-      val (a, b) = bothWays(y => FeatureSelectors.select(sel, poolBase, poolCands, y, BinaryClassification,
-        XGBModel, poolSplit, k = poolCands.size))
+      val (a, b) = bothWays(pool)(FeatureSelectors.select(sel, _, XGBModel, k = pool.columns.size))
       assert(a == b)
     }
   }
@@ -84,16 +85,14 @@ class TestSplitIsolationSpec extends SparkSpec with MiniData {
   test("ARDA selects the same candidates whatever the test labels") {
     // Over the noise columns alone, which of them beat ARDA's injected noise
     // is fragile, so a fit that read a test row would likely change the set.
-    val noise = poolCands.drop(2)
-    val (a, b) = bothWays(y => ARDA.select(poolBase, noise, y, BinaryClassification, poolSplit, k = noise.size,
-      seed = 7L))
+    val noise = pool.copy(columns = pool.columns.drop(2))
+    val (a, b) = bothWays(noise)(ARDA.select(_, k = noise.columns.size, seed = 7L))
     assert(a == b)
   }
 
   for (agent <- Seq(AutoFeature.MAB, AutoFeature.DQN)) {
     test(s"${agent.name} selects the same candidates whatever the test labels") {
-      val (a, b) = bothWays(y => AutoFeature.select(agent, poolBase, poolCands, y, BinaryClassification,
-        XGBModel, poolSplit, k = poolCands.size, seed = 7L))
+      val (a, b) = bothWays(pool)(AutoFeature.select(agent, _, XGBModel, k = pool.columns.size, seed = 7L))
       assert(a == b)
     }
   }

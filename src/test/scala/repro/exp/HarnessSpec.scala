@@ -28,15 +28,15 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("ftCandidates has |F| x |A| members and uses the shared store") {
-    val n = tmall.ftCandidates.size
+    val n = tmall.ftCandidates.columns.size
     assert(n == AggFunc.all.size * tmall.td.aggAttrs.size)
     assert(tmall.featureStore.size >= n)
   }
 
   test("directCandidates materializes one feature per numeric relevant column") {
-    assert(covtype.directCandidates.size == covtype.td.directJoinAttrs.size)
+    assert(covtype.directCandidates.columns.size == covtype.td.directJoinAttrs.size)
     // One-to-one AVG reproduces the column itself.
-    val f1 = covtype.directCandidates(covtype.td.directJoinAttrs.indexOf("f1"))
+    val f1 = covtype.directCandidates.columns(covtype.td.directJoinAttrs.indexOf("f1"))
     val raw = covtype.td.relevant.select("data_index", "f1").collect()
       .map(r => r.getLong(0).toString -> r.getDouble(1)).toMap
     covtype.keyRows.zipWithIndex.foreach { case (k, i) =>
