@@ -11,58 +11,28 @@ package repro.core
   * smallest of the most frequent values) are verified by hand-computed
   * unit tests instead.
   */
-sealed abstract class AggFunc(val name: String, val oracleSafe: Boolean) {
-  /** DuckDB fragment over the raw VARCHAR column named `col`. */
-  def duckExpr(col: String): String
-  protected def c(col: String): String = s"CAST($col AS DOUBLE)"
+sealed abstract class AggFunc(val name: String, val oracleSafe: Boolean, duck: String) {
+  /** DuckDB fragment over the raw VARCHAR column named `col` (`%s` in `duck`). */
+  def duckExpr(col: String): String = duck.format(col)
 }
 
 object AggFunc {
-  case object Sum extends AggFunc("SUM", oracleSafe = true) {
-    def duckExpr(col: String) = s"SUM(${c(col)})"
-  }
-  case object Min extends AggFunc("MIN", oracleSafe = true) {
-    def duckExpr(col: String) = s"MIN(${c(col)})"
-  }
-  case object Max extends AggFunc("MAX", oracleSafe = true) {
-    def duckExpr(col: String) = s"MAX(${c(col)})"
-  }
-  case object Count extends AggFunc("COUNT", oracleSafe = true) {
-    def duckExpr(col: String) = s"COUNT($col)"
-  }
-  case object Avg extends AggFunc("AVG", oracleSafe = true) {
-    def duckExpr(col: String) = s"AVG(${c(col)})"
-  }
-  case object CountDistinct extends AggFunc("COUNT_DISTINCT", oracleSafe = true) {
-    def duckExpr(col: String) = s"COUNT(DISTINCT $col)"
-  }
-  case object VarPop extends AggFunc("VAR", oracleSafe = true) {
-    def duckExpr(col: String) = s"VAR_POP(${c(col)})"
-  }
-  case object VarSamp extends AggFunc("VAR_SAMPLE", oracleSafe = true) {
-    def duckExpr(col: String) = s"VAR_SAMP(${c(col)})"
-  }
-  case object StdPop extends AggFunc("STD", oracleSafe = true) {
-    def duckExpr(col: String) = s"STDDEV_POP(${c(col)})"
-  }
-  case object StdSamp extends AggFunc("STD_SAMPLE", oracleSafe = true) {
-    def duckExpr(col: String) = s"STDDEV_SAMP(${c(col)})"
-  }
-  case object Entropy extends AggFunc("ENTROPY", oracleSafe = true) {
-    def duckExpr(col: String) = s"ENTROPY($col)"
-  }
-  case object Kurtosis extends AggFunc("KURTOSIS", oracleSafe = false) {
-    def duckExpr(col: String) = s"KURTOSIS(${c(col)})"
-  }
-  case object Mode extends AggFunc("MODE", oracleSafe = false) {
-    def duckExpr(col: String) = s"MODE(${c(col)})"
-  }
-  case object Mad extends AggFunc("MAD", oracleSafe = true) {
-    def duckExpr(col: String) = s"MAD(${c(col)})"
-  }
-  case object Median extends AggFunc("MEDIAN", oracleSafe = true) {
-    def duckExpr(col: String) = s"MEDIAN(${c(col)})"
-  }
+  private val Cast = "CAST(%s AS DOUBLE)" // a column as a number
+  case object Sum extends AggFunc("SUM", oracleSafe = true, s"SUM($Cast)")
+  case object Min extends AggFunc("MIN", oracleSafe = true, s"MIN($Cast)")
+  case object Max extends AggFunc("MAX", oracleSafe = true, s"MAX($Cast)")
+  case object Count extends AggFunc("COUNT", oracleSafe = true, "COUNT(%s)")
+  case object Avg extends AggFunc("AVG", oracleSafe = true, s"AVG($Cast)")
+  case object CountDistinct extends AggFunc("COUNT_DISTINCT", oracleSafe = true, "COUNT(DISTINCT %s)")
+  case object VarPop extends AggFunc("VAR", oracleSafe = true, s"VAR_POP($Cast)")
+  case object VarSamp extends AggFunc("VAR_SAMPLE", oracleSafe = true, s"VAR_SAMP($Cast)")
+  case object StdPop extends AggFunc("STD", oracleSafe = true, s"STDDEV_POP($Cast)")
+  case object StdSamp extends AggFunc("STD_SAMPLE", oracleSafe = true, s"STDDEV_SAMP($Cast)")
+  case object Entropy extends AggFunc("ENTROPY", oracleSafe = true, "ENTROPY(%s)")
+  case object Kurtosis extends AggFunc("KURTOSIS", oracleSafe = false, s"KURTOSIS($Cast)")
+  case object Mode extends AggFunc("MODE", oracleSafe = false, s"MODE($Cast)")
+  case object Mad extends AggFunc("MAD", oracleSafe = true, s"MAD($Cast)")
+  case object Median extends AggFunc("MEDIAN", oracleSafe = true, s"MEDIAN($Cast)")
 
   /** The full function set used by every dataset's templates (paper Table II). */
   lazy val all: Vector[AggFunc] = Vector(

@@ -12,8 +12,8 @@ import org.apache.spark.sql.types.{BooleanType, NumericType, StringType}
   *
   *  - numeric and boolean columns are `Array[Double]` plus a NULL bitmap;
   *  - string columns are dictionary codes in an `Array[Int]` (NULL = -1);
-  *  - key columns are also coded by `String.valueOf`, the form in which
-  *    training keys are matched;
+  *  - key columns are also coded by [[ColumnarTable.keyValue]], the form
+  *    in which training keys are matched;
   *  - columns of other types (dates, nested) are not loaded.
   *
   * A query narrows a selection vector of row indices, one predicate at a
@@ -59,7 +59,7 @@ final class ColumnarTable private (
     */
   def aggregate(q: QuerySpec, g: Groups): Array[Double] = {
     val x = number(q.aggAttr)
-    val sel = q.preds.filterNot(_.isEmpty).foldLeft(x.nonNull(g.rows))((s, p) => select(p, s))
+    val sel = q.preds.foldLeft(x.nonNull(g.rows))((s, p) => select(p, s))
     val out = q.agg match {
       case AggFunc.Count | AggFunc.Min | AggFunc.Max => countMinMax(q.agg, x.values, sel, g)
       case AggFunc.Sum | AggFunc.Avg => sums(q.agg == AggFunc.Avg, x.values, partitions(sel), g)
@@ -132,9 +132,17 @@ object ColumnarTable {
     val at = names.zipWithIndex.map { case (n, j) => n -> (j + 1) }.toMap // column 0 is the partition
     val numbers = loaded.collect { case (n, false) => n -> toNumbers(rows, at(n)) }.toMap
     val strings = loaded.collect { case (n, true) => n -> toCodes(rows, at(n), v => Option(v).map(_.toString)) }.toMap
-    val keyCodes = keys.map(k => k -> toCodes(rows, at(k), v => Some(String.valueOf(v)))).toMap
+    val keyCodes = keys.map(k => k -> toCodes(rows, at(k), v => Some(keyValue(v)))).toMap
     new ColumnarTable(rows.length, partStart, numbers, strings, keyCodes)
   }
+
+  /** A key value in the one form in which training keys are matched to the
+    * table's (`String.valueOf`, so NULL reads as "null").
+    */
+  def keyValue(v: Any): String = String.valueOf(v)
+
+  /** The first `n` values of `r` as a key tuple of [[keyValue]]s. */
+  def keyRow(r: Row, n: Int): Vector[String] = Vector.tabulate(n)(i => keyValue(r.get(i)))
 
   private def toNumbers(rows: Array[Row], j: Int): Numbers = {
     val nulls = new java.util.BitSet(rows.length)

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
 import scala.collection.mutable
 import repro.ml._
 import repro.proxy._
@@ -20,11 +19,8 @@ import repro.proxy._
   * never recompute a query.
   *
   * Safe to call from several threads ([[Parallel.map]] runs search units
-  * concurrently). Each loss and proxy key is computed exactly once, outside
-  * any lock shared with other keys. The feature store is locked (its own
-  * monitor) for each lookup, so a store that is not thread-safe still sees
-  * one `getOrElseUpdate` per evaluation and one `featureValues` call per
-  * miss; code that touches the store while a search runs must lock it too.
+  * concurrently). Each loss and proxy key is computed exactly once (a
+  * [[Memo]]), and every store access is one [[FeatureQueryExecutor.lookup]].
   */
 final class Evaluator(
     val executor: FeatureQueryExecutor,
@@ -41,8 +37,8 @@ final class Evaluator(
       */
     featureStore: mutable.Map[String, Array[Double]],
 ) {
-  private val lossCache = new ConcurrentHashMap[String, Once]
-  private val proxyCache = new ConcurrentHashMap[String, Once]
+  private val losses = new Memo[String, Double]
+  private val proxies = new Memo[String, Double]
   @volatile private var executed = 0
 
   /** Feature queries this evaluator executed so far (for cost accounting);
@@ -50,23 +46,16 @@ final class Evaluator(
     */
   def queryExecutions: Int = executed
   /** Number of real (model-training) evaluations so far. */
-  def realEvaluations: Int = lossCache.size
+  def realEvaluations: Int = losses.size
 
-  def feature(q: QuerySpec): Array[Double] = featureStore.synchronized {
-    featureStore.getOrElseUpdate(q.cacheKey, { executed += 1; executor.featureValues(q) })
-  }
+  def feature(q: QuerySpec): Array[Double] =
+    FeatureQueryExecutor.lookup(featureStore, q) { executed += 1; executor.featureValues(q) }
 
-  /** The value of `q` in `cache`, computed by the first caller only; later
-    * callers wait on that key's cell, not on the map.
-    */
-  private def memo(cache: ConcurrentHashMap[String, Once], q: QuerySpec)(compute: => Double): Double =
-    cache.computeIfAbsent(q.cacheKey, _ => new Once(compute)).value
-
-  def realLoss(q: QuerySpec): Double = memo(lossCache, q) {
+  def realLoss(q: QuerySpec): Double = losses(q.cacheKey) {
     Models.splitLoss(modelKind, task, withFeature(feature(q)), split.train, split.valid, seed, fast = true)
   }
 
-  def proxyScore(q: QuerySpec): Double = memo(proxyCache, q) {
+  def proxyScore(q: QuerySpec): Double = proxies(q.cacheKey) {
     val f = feature(q)
     proxy match {
       case MIProxy =>
@@ -80,11 +69,4 @@ final class Evaluator(
   }
 
   private def withFeature(f: Array[Double]): DenseData = DenseData.appendColumns(baseX, Seq(f), y)
-}
-
-/** A value computed on first use; concurrent first users wait for the one
-  * computation (a `lazy val` locks its own instance).
-  */
-private final class Once(compute: => Double) {
-  lazy val value: Double = compute
 }

@@ -77,7 +77,7 @@ object FeatAug {
     val templates = Vector.fill(budget.nTemplates) {
       val size = 1 + rnd.nextInt(math.min(attrs.size, budget.beamDepth))
       rnd.shuffle(attrs).take(size).sortBy(attrs.indexOf)
-    }.distinctBy(_.mkString(",")) // duplicates waste a template slot, as in random choice
+    }.distinct // duplicates waste a template slot, as in random choice
     select(templates, evaluator, budget.queriesPerTemplate) { (p, i) =>
       SqlQueryGeneration.generateRandom(mkCodec(p), evaluator, budget, seed + 104729L * (i + 1))
     }

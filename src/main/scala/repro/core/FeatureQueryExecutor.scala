@@ -25,7 +25,7 @@ final class FeatureQueryExecutor(
     val trainKeyRows: Array[Vector[String]],
 ) {
   private lazy val columnar: ColumnarTable = ColumnarTable.collect(relevant, allKeys)
-  private val groupIndexes = mutable.HashMap.empty[Vector[String], ColumnarTable.Groups]
+  private val groupIndexes = new Memo[Vector[String], ColumnarTable.Groups]
 
   /** The feature column aligned to [[trainKeyRows]], computed over the
     * driver-side columnar copy of the relevant table.
@@ -33,9 +33,7 @@ final class FeatureQueryExecutor(
   def featureValues(q: QuerySpec): Array[Double] = {
     val keyIdx = q.keys.map(allKeys.indexOf)
     require(keyIdx.forall(_ >= 0), s"query keys ${q.keys} not a subset of $allKeys")
-    val groups = groupIndexes.synchronized {
-      groupIndexes.getOrElseUpdate(q.keys, columnar.groups(q.keys, trainKeyRows.map(k => keyIdx.map(k))))
-    }
+    val groups = groupIndexes(q.keys)(columnar.groups(q.keys, trainKeyRows.map(k => keyIdx.map(k))))
     val byGroup = columnar.aggregate(q, groups)
     groups.trainGroup.map(byGroup)
   }
@@ -45,7 +43,7 @@ final class FeatureQueryExecutor(
     * keys: used by correctness checks only.
     */
   def duckSql(q: QuerySpec, table: String): String = {
-    val where = q.preds.filterNot(_.isEmpty).flatMap { p =>
+    val where = q.preds.flatMap { p =>
       p.eqValue.map(v => s"${p.attr} = '${v.replace("'", "''")}'").toList ++
         p.lo.map(l => s"CAST(${p.attr} AS DOUBLE) >= $l").toList ++
         p.hi.map(h => s"CAST(${p.attr} AS DOUBLE) <= $h").toList
@@ -54,4 +52,14 @@ final class FeatureQueryExecutor(
     val keys = q.keys.mkString(", ")
     s"SELECT $keys, CAST(${q.agg.duckExpr(q.aggAttr)} AS DOUBLE) AS feature FROM $table$w GROUP BY $keys"
   }
+}
+
+object FeatureQueryExecutor {
+
+  /** `q`'s column in `store`, or `compute`'s, then stored: the program's one
+    * store access. It holds the store's monitor, so a store that is not
+    * thread-safe sees one access at a time and each missing key is computed once.
+    */
+  def lookup(store: mutable.Map[String, Array[Double]], q: QuerySpec)(compute: => Array[Double]): Array[Double] =
+    store.synchronized(store.getOrElseUpdate(q.cacheKey, compute))
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors}
+import java.util.concurrent.{Callable, ConcurrentHashMap, ExecutionException, ExecutorService, Executors}
 import java.util.concurrent.atomic.AtomicInteger
 import scala.util.{Failure, Success, Try}
 
@@ -46,4 +46,20 @@ object Parallel {
         case Failure(e) => throw e
       }
     }
+}
+
+/** A memo that computes each key's value once, on the first call for that
+  * key. Later and concurrent callers of the key wait for that one
+  * computation; callers of other keys do not, because the value is a
+  * `lazy val` of a cell that locks only itself, created under the map's
+  * lock and computed outside it.
+  */
+final class Memo[K, V] {
+  private final class Once(compute: => V) { lazy val value: V = compute }
+  private val cells = new ConcurrentHashMap[K, Once]
+
+  def apply(key: K)(compute: => V): V = cells.computeIfAbsent(key, _ => new Once(compute)).value
+
+  /** Keys computed or being computed. */
+  def size: Int = cells.size
 }

@@ -47,7 +47,10 @@ final case class Predicate(
   def isEmpty: Boolean = eqValue.isEmpty && lo.isEmpty && hi.isEmpty
 }
 
-/** A fully instantiated predicate-aware query: one point of the query pool. */
+/** A fully instantiated predicate-aware query: one point of the query pool.
+  * `preds` are the conjuncts of its WHERE clause, so each one constrains; an
+  * attribute the query does not filter on has no predicate.
+  */
 final case class QuerySpec(
     agg: AggFunc,
     aggAttr: String,
@@ -55,10 +58,11 @@ final case class QuerySpec(
     keys: Vector[String],
 ) {
   require(keys.nonEmpty, "query needs group-by keys")
+  require(!preds.exists(_.isEmpty), s"unconstrained predicate in $preds")
 
   /** Stable memoization key (also the feature column name basis). */
   def cacheKey: String = {
-    val p = preds.filterNot(_.isEmpty).map { pr =>
+    val p = preds.map { pr =>
       s"${pr.attr}:${pr.eqValue.getOrElse("")}:${pr.lo.getOrElse("")}:${pr.hi.getOrElse("")}"
     }.mkString("&")
     s"${agg.name}(${aggAttr})|$p|${keys.mkString("+")}"

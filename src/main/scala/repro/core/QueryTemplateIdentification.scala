@@ -21,8 +21,10 @@ import repro.ml.{DenseData, RidgeRegressionTrainer}
   */
 object QueryTemplateIdentification {
 
-  /** One evaluated tree node: an attribute combination and its proxy score
-    * (higher is better).
+  /** One evaluated tree node: an attribute combination, in `attrs` order,
+    * and its proxy score (higher is better). The attribute vector is the
+    * node's identity: two nodes with the same attribute set have equal
+    * vectors.
     */
   final case class Node(pAttrs: Vector[String], score: Double)
 
@@ -43,7 +45,6 @@ object QueryTemplateIdentification {
   ): Result = {
     require(attrs.nonEmpty, "no candidate predicate attributes")
     val evaluated = scala.collection.mutable.ArrayBuffer.empty[Node]
-    val seen = scala.collection.mutable.HashSet.empty[String]
 
     def effectiveness(p: Vector[String], nodeSeed: Long): Double = {
       val codec = mkCodec(p)
@@ -57,7 +58,6 @@ object QueryTemplateIdentification {
     def evaluateLayer(layer: Vector[(Vector[String], Long)]): Vector[Node] = {
       val nodes = Parallel.map(layer) { case (p, nodeSeed) => Node(p, effectiveness(p, nodeSeed)) }
       evaluated ++= nodes
-      seen ++= nodes.map(_.pAttrs.sorted.mkString(","))
       nodes
     }
 
@@ -68,10 +68,10 @@ object QueryTemplateIdentification {
 
     var depth = 2
     while (depth <= math.min(budget.beamDepth, attrs.size) && beam.nonEmpty) {
-      // Candidate expansions of the beam, deduplicated as sets.
+      // Expansions of the beam, in `attrs` order, each once and none evaluated before.
       val candidates = beam.flatMap { node =>
         attrs.filterNot(node.pAttrs.contains).map(a => (node.pAttrs :+ a).sortBy(attrs.indexOf))
-      }.distinctBy(_.sorted.mkString(",")).filterNot(p => seen.contains(p.sorted.mkString(",")))
+      }.distinct.filterNot(evaluated.map(_.pAttrs).toSet)
 
       val toEvaluate =
         if (!usePredictor || candidates.size <= budget.beamWidth) candidates

@@ -56,9 +56,11 @@ object SearchSpace {
   *    numeric P-attr), |K| key-selection bits]
   *
   * Index 0 of every predicate slot means None (no constraint on that
-  * bound); numeric slots with lo > hi are decoded with the bounds swapped
-  * so every vector decodes to a valid query. A key-bit vector of all zeros
-  * decodes to the full key set (GROUP BY needs at least one key).
+  * bound), and an attribute with no bound gets no predicate, so a vector
+  * whose slots for some attributes are all 0 decodes to the query of the
+  * template without them. Numeric slots with lo > hi are decoded with the
+  * bounds swapped so every vector decodes to a valid query. A key-bit
+  * vector of all zeros decodes to the full key set (GROUP BY needs a key).
   */
 final class QueryVectorCodec(val template: QueryTemplate, val domains: Map[String, AttrDomain]) {
   template.predAttrs.foreach(a => require(domains.contains(a), s"no domain for predicate attr $a"))
@@ -76,20 +78,16 @@ final class QueryVectorCodec(val template: QueryTemplate, val domains: Map[Strin
     val agg = template.aggFuncs(v(0))
     val aggAttr = template.aggAttrs(v(1))
     var i = 2
-    val preds = template.predAttrs.map { a =>
+    val preds = template.predAttrs.flatMap { a =>
       domains(a) match {
         case d: CatDomain =>
           val idx = v(i); i += 1
-          Predicate(a, if (idx == 0) None else Some(d.values(idx - 1)), None, None)
+          Option.when(idx > 0)(Predicate(a, Some(d.values(idx - 1)), None, None))
         case d: NumDomain =>
-          val loIdx = v(i); val hiIdx = v(i + 1); i += 2
-          val lo0 = if (loIdx == 0) None else Some(d.cuts(loIdx - 1))
-          val hi0 = if (hiIdx == 0) None else Some(d.cuts(hiIdx - 1))
-          val (lo, hi) = (lo0, hi0) match {
-            case (Some(l), Some(h)) if l > h => (Some(h), Some(l))
-            case other                       => other
-          }
-          Predicate(a, None, lo, hi)
+          def cut(j: Int) = Option.when(j > 0)(d.cuts(j - 1))
+          val (lo0, hi0) = (cut(v(i)), cut(v(i + 1))); i += 2
+          val (lo, hi) = if (lo0.zip(hi0).exists { case (l, h) => l > h }) (hi0, lo0) else (lo0, hi0)
+          Option.when(lo.nonEmpty || hi.nonEmpty)(Predicate(a, None, lo, hi))
       }
     }
     val keyBits = template.keys.indices.map(j => v(i + j))

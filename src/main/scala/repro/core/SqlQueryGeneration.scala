@@ -52,8 +52,7 @@ object SqlQueryGeneration {
         val proxyRes = new TPE(codec.space, seed).minimize(objProxy, budget.warmupIters)
         val top = proxyRes.ranked.take(budget.warmupTopK).map(_._1)
         val warmObs = top.map(p => (p, objReal(p)))
-        val genRes = new TPE(codec.space, seed + 1).minimize(objReal, budget.genIters, warmStart = warmObs)
-        warmObs ++ genRes.history
+        new TPE(codec.space, seed + 1).minimize(objReal, budget.genIters, warmStart = warmObs).history
       } else {
         new TPE(codec.space, seed + 1).minimize(objReal, budget.warmupTopK + budget.genIters).history
       }

@@ -1,11 +1,10 @@
 package repro.exp
 
 import scala.collection.immutable.ListMap
-import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{AutoFeature, FeatureSelectors}
 import repro.baselines.FeatureSelectors.{BackwardSel, ForwardSel}
-import repro.core.{AggFunc, FeatAugConfig, SearchBudget}
+import repro.core.{AggFunc, FeatAugConfig, Memo, SearchBudget}
 import repro.data.Datasets
 import repro.ml._
 import repro.proxy.{LRProxy, SCProxy}
@@ -60,16 +59,16 @@ final class Experiments(spark: SparkSession, sf: Double, val budget: SearchBudge
   private final class Method(val label: String, val result: (Prepared, ModelKind) => Option[Double])
 
   /** Results by (dataset, model, method key): a baseline's label or a FeatAugConfig. */
-  private val runs = mutable.HashMap.empty[(String, ModelKind, Any), Option[Double]]
+  private val runs = new Memo[(String, ModelKind, Any), Option[Double]]
 
   private def memo(key: Any, label: String)(run: (Prepared, ModelKind) => Option[Double]): Method =
-    new Method(label, (p, mk) => runs.getOrElseUpdate((p.td.name, mk, key), {
+    new Method(label, (p, mk) => runs((p.td.name, mk, key)) {
       val t0 = System.nanoTime()
       val v = run(p, mk)
       val tag = s"${p.td.name}/${mk.name}/$label"
       Console.err.println(f"[exp] $tag%-40s -> ${fmtOpt(v)}  (${(System.nanoTime() - t0) / 1e9}%.1f s)")
       v
-    }))
+    })
 
   private def baseline(label: String)(run: (Prepared, ModelKind) => Double): Method =
     memo(label, label)((p, mk) => Some(run(p, mk)))

@@ -23,7 +23,7 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
   val (keyRows, baseX, y) = {
     val rows = td.train.select((td.keys ++ td.baseFeatures :+ td.label).map(col): _*).collect()
     require(rows.nonEmpty, s"${td.name}: empty training table")
-    (rows.map(r => Vector.tabulate(td.keys.size)(i => String.valueOf(r.get(i)))),
+    (rows.map(ColumnarTable.keyRow(_, td.keys.size)),
       rows.map(r => Array.tabulate(td.baseFeatures.size)(j => num(r.get(td.keys.size + j)))),
       rows.map(r => num(r.get(td.keys.size + td.baseFeatures.size))))
   }
@@ -53,12 +53,8 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
   private def pool(columns: Vector[Array[Double]]): CandidatePool =
     CandidatePool(baseX, columns, y, td.task, split.train, split.valid)
 
-  /** Materialize a query's feature through the shared store, holding the
-    * store's monitor as [[Evaluator.feature]] does (DESIGN.md §5).
-    */
-  def feature(q: QuerySpec): Array[Double] = featureStore.synchronized {
-    featureStore.getOrElseUpdate(q.cacheKey, executor.featureValues(q))
-  }
+  /** Materialize a query's feature through the shared store. */
+  def feature(q: QuerySpec): Array[Double] = FeatureQueryExecutor.lookup(featureStore, q)(executor.featureValues(q))
 
   /** Test-split metric of the full-budget model over base + features.
     * (Search never sees the test split.)

@@ -19,7 +19,8 @@ final class TPE(space: ParamSpace, seed: Long) {
   import TPE._
 
   /** Minimize `objective` for `iterations` evaluations; `warmStart` points
-    * count as prior observations but are not re-evaluated.
+    * count as prior observations but are not re-evaluated. The result's
+    * history is `warmStart`, then the points this search evaluated.
     */
   def minimize(objective: Vector[Int] => Double, iterations: Int,
                warmStart: Seq[(Vector[Int], Double)] = Nil): SearchResult = {
@@ -27,17 +28,11 @@ final class TPE(space: ParamSpace, seed: Long) {
     warmStart.foreach { case (p, _) => require(space.contains(p), s"warm-start point $p outside space") }
     val rnd = new Random(seed)
     val history = mutable.ArrayBuffer[(Vector[Int], Double)](warmStart: _*)
-    var it = 0
-    while (it < iterations) {
-      val point =
-        if (history.size < NStartup) space.randomPoint(rnd)
-        else suggest(history.toVector, rnd)
+    for (_ <- 1 to iterations) {
+      val point = if (history.size < NStartup) space.randomPoint(rnd) else suggest(history.toVector, rnd)
       history += ((point, objective(point)))
-      it += 1
     }
-    // Report only points this search evaluated (warm-start evals were paid
-    // by the caller).
-    SearchResult(history.drop(warmStart.size).toVector)
+    SearchResult(history.toVector)
   }
 
   /** Propose the next point given the observation history (public so that

@@ -115,16 +115,14 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
     var epoch = 0
     while (epoch < epochs) {
       // deterministic shuffle per epoch
-      val erng = new Random(seed + epoch)
-      var s = order.length
-      while (s > 1) { s -= 1; val j = erng.nextInt(s + 1); val t = order(s); order(s) = order(j); order(j) = t }
+      Splits.shuffle(order, new Random(seed + epoch))
       var oi = 0
       while (oi < n) {
         val i = order(oi)
         val x = xs(i)
         val (raw, sf, u, h) = forward(x)
         val delta0 = task match {
-          case BinaryClassification => (1.0 / (1.0 + math.exp(-raw))) - data.y(i)
+          case BinaryClassification => Task.sigmoid(raw) - data.y(i)
           case _                    => raw - normY(data.y(i))
         }
         // Clip the residual so one bad sample cannot blow up the momentum.
@@ -182,7 +180,7 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
         val z = std.transform(Array(x))(0)
         val (raw, _, _, _) = forward(z)
         task match {
-          case BinaryClassification => Array(1.0 / (1.0 + math.exp(-raw)))
+          case BinaryClassification => Array(Task.sigmoid(raw))
           case _                    => Array(raw * yScale._2 + yScale._1)
         }
       }

@@ -21,13 +21,11 @@ final class GradientBoostingTrainer(task: Task, numTrees: Int, seed: Long) exten
     new Predictor {
       override def scores(row: Array[Double]): Array[Double] = task match {
         case Regression             => Array(heads(0).raw(row))
-        case BinaryClassification   => Array(sigmoid(heads(0).raw(row)))
-        case MultiClassification(_) => Task.normalise(heads.map(h => sigmoid(h.raw(row))))
+        case BinaryClassification   => Array(Task.sigmoid(heads(0).raw(row)))
+        case MultiClassification(_) => Task.normalise(heads.map(h => Task.sigmoid(h.raw(row))))
       }
     }
   }
-
-  private def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
   private def fitHead(x: Array[Array[Double]], order: Array[Array[Int]], y: Array[Double],
                       logistic: Boolean, s: Long): Head = {
@@ -43,7 +41,7 @@ final class GradientBoostingTrainer(task: Task, numTrees: Int, seed: Long) exten
     var t = 0
     while (t < numTrees) {
       val grad = Array.tabulate(n) { i =>
-        if (logistic) y(i) - sigmoid(f(i)) else y(i) - f(i)
+        if (logistic) y(i) - Task.sigmoid(f(i)) else y(i) - f(i)
       }
       val tree = new RegressionTree(MaxDepth, featureFraction = 1.0, seed = s + 101L * t)
       tree.fit(x, grad, order)

@@ -44,7 +44,7 @@ final class LogisticRegressionTrainer(task: Task, epochs: Int, seed: Long) exten
         while (j < m) { s += w(c)(j) * x(j); j += 1 }
         s
       }
-      if (k == 1) Array(1.0 / (1.0 + math.exp(-z(0))))
+      if (k == 1) Array(Task.sigmoid(z(0)))
       else {
         val mx = z.max
         val e = z.map(v => math.exp(v - mx))

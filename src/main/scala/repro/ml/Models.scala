@@ -62,11 +62,15 @@ object Splits {
 
   def threeWay(n: Int, seed: Long): Split = {
     val idx = (0 until n).toArray
-    val rnd = new Random(seed)
-    var i = n
-    while (i > 1) { i -= 1; val j = rnd.nextInt(i + 1); val t = idx(i); idx(i) = idx(j); idx(j) = t }
+    shuffle(idx, new Random(seed))
     val nTrain = (n * 0.6).toInt
     val nValid = (n * 0.2).toInt
     Split(idx.slice(0, nTrain), idx.slice(nTrain, nTrain + nValid), idx.slice(nTrain + nValid, n))
+  }
+
+  /** Fisher–Yates shuffle of `a` in place, drawing from the last position down. */
+  def shuffle(a: Array[Int], rnd: Random): Unit = {
+    var i = a.length
+    while (i > 1) { i -= 1; val j = rnd.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t }
   }
 }

@@ -31,6 +31,9 @@ object Task {
     case _                      => Vector(y)
   }
 
+  /** The logistic function: a binary head's P(y = 1) from its raw score. */
+  def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
+
   /** One-vs-rest head scores as a distribution: each clipped below at
     * 1e-9, then divided by their sum.
     */

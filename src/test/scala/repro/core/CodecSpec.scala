@@ -83,9 +83,29 @@ class CodecSpec extends SparkSpec with MiniData with PropSupport {
       new QueryVectorCodec(template.copy(predAttrs = Vector("missing")), domains))
   }
 
-  test("index 0 decodes to an unconstrained predicate (None)") {
+  test("index 0 in every predicate slot decodes to a query without predicates") {
     val q = codec.decode(Vector(0, 0, 0, 0, 0, 1))
-    assert(q.preds.forall(_.isEmpty))
+    assert(q.preds.isEmpty)
+  }
+
+  test("every decoded predicate constrains (property)") {
+    check(Prop.forAll(Gen.choose(0L, 100000L)) { seed =>
+      codec.decode(codec.space.randomPoint(new Random(seed))).preds.forall(!_.isEmpty)
+    }, minSuccessful = 100)
+  }
+
+  test("a child template's vector with its new slots 0 decodes to the parent's query") {
+    // The child is `template` (cat, t); each parent lacks one of its
+    // attributes, whose slots the child's vector sets to 0.
+    val parents = Seq(
+      Vector("cat") -> ((v: Vector[Int]) => v.patch(3, Vector(0, 0), 0)),
+      Vector("t") -> ((v: Vector[Int]) => v.patch(2, Vector(0), 0)))
+    val r = new Random(11)
+    for ((attrs, childOf) <- parents; _ <- 1 to 100) {
+      val parent = new QueryVectorCodec(template.copy(predAttrs = attrs), domains)
+      val pv = parent.space.randomPoint(r)
+      assert(codec.decode(childOf(pv)) == parent.decode(pv), s"parent vector $pv")
+    }
   }
 
   test("categorical index decodes to the corresponding equality value") {
@@ -98,7 +118,7 @@ class CodecSpec extends SparkSpec with MiniData with PropSupport {
     val num = domains("t").asInstanceOf[NumDomain]
     val loIdx = num.cuts.size // highest cut as 'lo'
     val q = codec.decode(Vector(0, 0, 0, loIdx, 1, 1))
-    val p = q.preds(1)
+    val p = q.preds.find(_.attr == "t").get
     assert(p.lo.get <= p.hi.get)
     assert(p.lo.contains(num.cuts.head) && p.hi.contains(num.cuts.last))
   }

@@ -77,5 +77,5 @@ object MiniData {
     */
   def executor(train: DataFrame, relevant: DataFrame, keys: Vector[String]): FeatureQueryExecutor =
     new FeatureQueryExecutor(relevant, keys, train.select(keys.map(col): _*).collect()
-      .map(r => Vector.tabulate(keys.size)(i => String.valueOf(r.get(i)))))
+      .map(ColumnarTable.keyRow(_, keys.size)))
 }

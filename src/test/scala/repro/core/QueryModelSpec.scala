@@ -37,13 +37,12 @@ class QueryModelSpec extends AnyFunSuite {
     assert(!Predicate("p", None, Some(1.0), None).isEmpty)
   }
 
-  test("cacheKey distinguishes different queries and ignores empty predicates") {
+  test("a query rejects an unconstrained predicate") {
     val q1 = QuerySpec(AggFunc.Sum, "amt", Vector(Predicate("cat", Some("A"), None, None)), Vector("uid"))
     val q2 = QuerySpec(AggFunc.Sum, "amt", Vector(Predicate("cat", Some("B"), None, None)), Vector("uid"))
-    val q3 = QuerySpec(AggFunc.Sum, "amt",
-      Vector(Predicate("cat", Some("A"), None, None), Predicate("t", None, None, None)), Vector("uid"))
     assert(q1.cacheKey != q2.cacheKey)
-    assert(q1.cacheKey == q3.cacheKey)
+    intercept[IllegalArgumentException](QuerySpec(AggFunc.Sum, "amt",
+      Vector(Predicate("cat", Some("A"), None, None), Predicate("t", None, None, None)), Vector("uid")))
   }
 
   test("cacheKey distinguishes aggregation function, attribute and keys") {

@@ -19,7 +19,7 @@ object ReferencePaths {
   def align(ex: FeatureQueryExecutor, q: QuerySpec, rows: Array[Row]): Array[Double] = {
     val n = q.keys.size
     val byKey = rows.map { r =>
-      Vector.tabulate(n)(i => String.valueOf(r.get(i))) -> (if (r.isNullAt(n)) 0.0 else r.getDouble(n))
+      ColumnarTable.keyRow(r, n) -> (if (r.isNullAt(n)) 0.0 else r.getDouble(n))
     }.toMap
     val idx = q.keys.map(ex.allKeys.indexOf)
     ex.trainKeyRows.map(k => byKey.getOrElse(idx.map(k), 0.0))

@@ -68,7 +68,8 @@ class TPESpec extends AnyFunSuite with PropSupport {
     val warm = Vector((Vector(7, 2, 3), 0.0), (Vector(6, 2, 3), 1.0),
       (Vector(7, 3, 3), 1.0), (Vector(8, 2, 3), 1.0), (Vector(7, 2, 2), 1.0))
     val res = new TPE(space, seed = 3).minimize(loss, iterations = 10, warmStart = warm)
-    assert(res.best._2 <= 3.0, s"best ${res.best}")
+    val found = SearchResult(res.history.drop(warm.size)).best
+    assert(found._2 <= 3.0, s"best $found")
   }
 
   test("warm-start points outside the space are rejected") {
@@ -76,10 +77,12 @@ class TPESpec extends AnyFunSuite with PropSupport {
       new TPE(space, 1).minimize(loss, 1, warmStart = Vector((Vector(99, 0, 0), 1.0))))
   }
 
-  test("history excludes warm-start observations") {
-    val warm = Vector((Vector(1, 1, 1), loss(Vector(1, 1, 1))))
+  test("history is the warm start, then `iterations` new points") {
+    val warm = Vector((Vector(1, 1, 1), loss(Vector(1, 1, 1))), (Vector(7, 2, 3), 0.0))
     val res = new TPE(space, 1).minimize(loss, 5, warmStart = warm)
-    assert(res.history.size == 5)
+    assert(res.history.size == 7)
+    assert(res.history.take(2) == warm)
+    assert(res.best == (Vector(7, 2, 3), 0.0))
   }
 
   test("suggest always returns a valid point") {
