@@ -1,21 +1,24 @@
-package repro.core
+package repro
 
 import java.util.concurrent.{Callable, ConcurrentHashMap, ExecutionException, ExecutorService, Executors}
 import java.util.concurrent.atomic.AtomicInteger
 import scala.util.{Failure, Success, Try}
 
-/** The search's one parallel primitive: an order-preserving map over a fixed
-  * pool of daemon threads, one per available processor.
+/** The program's one parallel primitive: an order-preserving map over a
+  * fixed pool of daemon threads, one per available processor.
   *
-  * It carries units of the search that are independent given their seeds
-  * (QTI layer nodes, SQL-generation pools). Each unit reads only memoized
-  * evaluator values, which depend on the query alone, and results are merged
-  * in input order, so a run's results do not depend on the core count or on
-  * thread timing.
+  * It carries units that are independent given their seeds: the search's
+  * QTI layer nodes and SQL-generation pools, and the trees of a random
+  * forest (`RandomForestTrainer`). A search unit reads only memoized
+  * evaluator values, which depend on the query alone, and a tree reads only
+  * its own bootstrap sample and seed. Results are merged in input order, so
+  * a run's results do not depend on the core count or on thread timing.
   *
   * A call made from one of the pool's own threads runs inline: a nested use
   * would otherwise wait for tasks queued behind its own caller, and the
-  * fixed pool would deadlock.
+  * fixed pool would deadlock. So a forest fit by a search unit fits its
+  * trees one after another, and a final fit made on the caller's thread
+  * spreads them over every core.
   */
 object Parallel {
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import repro.Memo
 import repro.ml._
 import repro.proxy._
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.Parallel
 import repro.proxy.{MIProxy, ProxyKind}
 
 /** End-to-end FeatAug configuration (ablation flags map to paper Table VII:

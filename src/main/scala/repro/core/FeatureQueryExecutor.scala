@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
+import repro.Memo
 
 /** Executes predicate-aware feature queries against the relevant table and
   * aligns each feature column to the training rows, given by their key

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.Parallel
 import repro.hpo.TPE
 import repro.ml.{DenseData, RidgeRegressionTrainer}
 

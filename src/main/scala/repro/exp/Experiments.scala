@@ -2,9 +2,10 @@ package repro.exp
 
 import scala.collection.immutable.ListMap
 import org.apache.spark.sql.SparkSession
+import repro.Memo
 import repro.baselines.{AutoFeature, FeatureSelectors}
 import repro.baselines.FeatureSelectors.{BackwardSel, ForwardSel}
-import repro.core.{AggFunc, FeatAugConfig, Memo, SearchBudget}
+import repro.core.{AggFunc, FeatAugConfig, SearchBudget}
 import repro.data.Datasets
 import repro.ml._
 import repro.proxy.{LRProxy, SCProxy}

@@ -111,13 +111,19 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
       (first + fm + deep, sf, u, h)
     }
 
+    // The pass ends after the update of the first sample whose output is
+    // NaN. That update makes `b2` NaN (the residual clip passes NaN
+    // through), so every later output, and every score of the fit, is NaN
+    // whatever the remaining samples do: the rest of the pass is dead work.
+    // An infinite output is clipped like any other and does not end it.
+    var diverged = false
     val order = (0 until n).toArray
     var epoch = 0
-    while (epoch < epochs) {
+    while (epoch < epochs && !diverged) {
       // deterministic shuffle per epoch
       Splits.shuffle(order, new Random(seed + epoch))
       var oi = 0
-      while (oi < n) {
+      while (oi < n && !diverged) {
         val i = order(oi)
         val x = xs(i)
         val (raw, sf, u, h) = forward(x)
@@ -170,6 +176,7 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
           }
           ii += 1
         }
+        diverged = raw.isNaN
         oi += 1
       }
       epoch += 1

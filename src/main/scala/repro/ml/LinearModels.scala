@@ -29,36 +29,48 @@ final class LogisticRegressionTrainer(task: Task, epochs: Int, seed: Long) exten
     val xs = std.transform(data.x)
     val n = data.numRows
     val m = data.numCols
-    val targets = Task.headTargets(task, data.y)
-    val k = targets.size
+    val targets = Task.headTargets(task, data.y).toArray
+    val k = targets.length
     val rnd = new Random(seed)
     val w = Array.fill(k, m)(rnd.nextGaussian() * 0.01)
     val b = new Array[Double](k)
     val vw = Array.fill(k, m)(0.0)
     val vb = new Array[Double](k)
     val mom = 0.9
-    // P(y = 1) through a sigmoid for one head, else a softmax over the heads.
-    def probs(x: Array[Double]): Array[Double] = {
-      val z = Array.tabulate(k) { c =>
+    // P(y = 1) through a sigmoid for one head, else a softmax over the heads,
+    // written into `out`. The softmax subtracts the largest score, in the order
+    // of `java.lang.Double.compare`, and sums its terms left to right.
+    def probsInto(x: Array[Double], out: Array[Double]): Unit = {
+      var c = 0
+      while (c < k) {
         var s = b(c); var j = 0
         while (j < m) { s += w(c)(j) * x(j); j += 1 }
-        s
+        out(c) = s
+        c += 1
       }
-      if (k == 1) Array(Task.sigmoid(z(0)))
+      if (k == 1) out(0) = Task.sigmoid(out(0))
       else {
-        val mx = z.max
-        val e = z.map(v => math.exp(v - mx))
-        val s = e.sum
-        e.map(_ / s)
+        var mx = out(0)
+        c = 1
+        while (c < k) { if (java.lang.Double.compare(mx, out(c)) < 0) mx = out(c); c += 1 }
+        var s = 0.0
+        c = 0
+        while (c < k) { out(c) = math.exp(out(c) - mx); s += out(c); c += 1 }
+        c = 0
+        while (c < k) { out(c) /= s; c += 1 }
       }
     }
+    // One fit's buffers: this row's probabilities and the epoch's gradient.
+    val p = new Array[Double](k)
+    val gw = Array.fill(k, m)(0.0)
+    val gb = new Array[Double](k)
     var epoch = 0
     while (epoch < epochs) {
-      val gw = Array.fill(k, m)(0.0)
-      val gb = new Array[Double](k)
+      gw.foreach(java.util.Arrays.fill(_, 0.0))
+      java.util.Arrays.fill(gb, 0.0)
       var i = 0
       while (i < n) {
-        val p = probs(xs(i))
+        probsInto(xs(i), p)
         var c = 0
         while (c < k) {
           val err = p(c) - targets(c)(i)
@@ -84,7 +96,11 @@ final class LogisticRegressionTrainer(task: Task, epochs: Int, seed: Long) exten
       epoch += 1
     }
     new Predictor {
-      override def scores(x: Array[Double]): Array[Double] = probs(std.transform(Array(x))(0))
+      override def scores(x: Array[Double]): Array[Double] = {
+        val out = new Array[Double](k)
+        probsInto(std.transform(Array(x))(0), out)
+        out
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 package repro.ml
 
 import scala.util.Random
+import repro.Parallel
 
 /** Random forest over [[RegressionTree]]s.
   *
@@ -33,13 +34,17 @@ final class RandomForestTrainer(task: Task, numTrees: Int, seed: Long) extends T
   /** Fit one bagged forest head and return its averaged prediction function.
     * Each bootstrap sample is presorted from `ranks` = [[RegressionTree.ranks]]
     * of `x` with one primitive sort per feature.
+    *
+    * Every bootstrap sample is drawn from `rnd` first, in tree order; a tree
+    * then reads only its sample and its seed, so the trees are fit through
+    * [[Parallel.map]] and their predictions summed in tree order.
     */
   private def fitForest(x: Array[Array[Double]], ranks: Array[Array[Int]], y: Array[Double],
                         s: Long): Array[Double] => Double = {
     val rnd = new Random(s)
     val n = x.length
-    val trees = (0 until numTrees).map { t =>
-      val idx = Array.fill(n)(rnd.nextInt(n)) // bootstrap sample
+    val samples = Vector.fill(numTrees)(Array.fill(n)(rnd.nextInt(n)))
+    val trees = Parallel.map(samples.zipWithIndex) { case (idx, t) =>
       new RegressionTree(MaxDepth, FeatureFraction, s + 31L * t)
         .fit(idx.map(x), idx.map(y), RegressionTree.presort(ranks, idx))
     }.toArray

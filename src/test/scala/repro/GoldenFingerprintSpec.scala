@@ -73,6 +73,44 @@ class GoldenFingerprintSpec extends SparkSpec with MiniData {
     }
   }
 
+  // 1,200 rows of 11 features, shaped like Tmall's final fit: seven Gaussian
+  // columns, a Cauchy and a log-normal column, and two columns that are
+  // non-zero on about 0.3 % of rows. Every DeepFM fit below goes NaN on its
+  // first attempt (binary in epoch 2, regression in epoch 1) and is refit at
+  // a smaller rate: once for binary, two or three times for regression.
+  private val heavyX = {
+    val rnd = new Random(2027)
+    Array.fill(1200) {
+      Array.fill(7)(rnd.nextGaussian()) ++ Array(rnd.nextGaussian() / rnd.nextGaussian(),
+        math.exp(2.5 * rnd.nextGaussian()),
+        if (rnd.nextDouble() < 0.003) 1.0 + rnd.nextDouble() else 0.0,
+        if (rnd.nextDouble() < 0.003) 50 * rnd.nextGaussian() else 0.0)
+    }
+  }
+  private val heavyLatent = {
+    val rnd = new Random(2028)
+    heavyX.map(r => r(0) - 0.5 * r(1) * r(2) + 0.3 * r(3) + 0.1 * math.tanh(r(7)) + rnd.nextGaussian() * 0.5)
+  }
+
+  private val goldenDiverging: Map[String, Long] = Map(
+    "DeepFM/binary/fast=false" -> 0xcc425f01bafcd11dL,
+    "DeepFM/binary/fast=true" -> 0xefaa3f0a97eaab86L,
+    "DeepFM/regression/fast=false" -> 0xa3a6d5ecbaaa8f08L,
+    "DeepFM/regression/fast=true" -> 0x6584f6fe697afe41L,
+  )
+
+  for (label <- Seq("binary", "regression"); fast <- Seq(false, true)) {
+    val name = s"DeepFM/$label/fast=$fast"
+    test(s"$name on heavy-tailed rows: the refit after a diverged first attempt matches its golden fingerprint") {
+      val (task, y) =
+        if (label == "binary") (BinaryClassification, heavyLatent.map(s => if (s > 0) 1.0 else 0.0))
+        else (Regression, heavyLatent)
+      val pred = Models.trainer(DeepFMModel, task, seed = 7L, fast = fast).fit(DenseData(heavyX, y))
+      val got = fingerprint(pred.scoresAll(heavyX))
+      assert(goldenDiverging.get(name).contains(got), f"$name fingerprint 0x$got%016xL")
+    }
+  }
+
   private val goldenAssociation: Map[String, Long] = Map(
     "chi2/4-class" -> 0x40423d2340aeb943L,
     "chi2/binary" -> 0x4040bc47159d0ee5L,

@@ -3,6 +3,7 @@ package repro.core
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Parallel
 
 class ParallelSpec extends AnyFunSuite {
 

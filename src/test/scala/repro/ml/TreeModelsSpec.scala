@@ -2,6 +2,7 @@ package repro.ml
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import repro.Parallel
 
 class TreeModelsSpec extends AnyFunSuite {
 
@@ -101,6 +102,26 @@ class TreeModelsSpec extends AnyFunSuite {
     val a = new RandomForestTrainer(Regression, numTrees = 15, seed = 9).fit(DenseData(x, y)).scores(x(0))(0)
     val b = new RandomForestTrainer(Regression, numTrees = 15, seed = 9).fit(DenseData(x, y)).scores(x(0))(0)
     assert(a == b)
+  }
+
+  test("random forest scores are bit-identical with trees fit concurrently or inline") {
+    // On the test thread the trees of a head run through Parallel.map; inside
+    // a Parallel.map task they run one after another on that pool thread.
+    val rnd = new Random(6)
+    val x = Array.fill(300)(Array(rnd.nextGaussian(), rnd.nextGaussian(), math.rint(rnd.nextGaussian() * 2)))
+    val latent = x.map(r => r(0) - 0.5 * r(1) * r(2) + rnd.nextGaussian() * 0.3)
+    for ((task, y) <- Seq(
+           BinaryClassification -> latent.map(s => if (s > 0) 1.0 else 0.0),
+           MultiClassification(4) -> latent.map(s => math.max(0, math.min(3, math.floor(s + 2)))),
+           Regression -> latent)) {
+      def scoreBits(): Vector[Long] = {
+        val pred = new RandomForestTrainer(task, numTrees = 15, seed = 9).fit(DenseData(x, y))
+        pred.scoresAll(x).iterator.flatten.map(java.lang.Double.doubleToRawLongBits).toVector
+      }
+      val concurrent = scoreBits()
+      val inline = Parallel.map(Seq(0, 1))(_ => scoreBits())
+      assert(inline.forall(_ == concurrent), s"$task")
+    }
   }
 
   test("gradient boosting fits a nonlinear regression target") {
