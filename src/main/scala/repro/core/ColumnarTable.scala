@@ -62,22 +62,23 @@ final class ColumnarTable private (
     val sel = q.preds.foldLeft(x.nonNull(g.rows))((s, p) => select(p, s))
     val out = q.agg match {
       case AggFunc.Count | AggFunc.Min | AggFunc.Max => countMinMax(q.agg, x.values, sel, g)
-      case AggFunc.Sum | AggFunc.Avg => sums(q.agg == AggFunc.Avg, x.values, partitions(sel), g)
+      case AggFunc.Sum | AggFunc.Avg => sums(q.agg == AggFunc.Avg, x.values, sel, cuts(sel), g)
       case AggFunc.VarPop | AggFunc.VarSamp | AggFunc.StdPop | AggFunc.StdSamp | AggFunc.Kurtosis =>
-        moments(q.agg, x.values, partitions(sel), g)
+        moments(q.agg, x.values, sel, cuts(sel), g)
       case AggFunc.CountDistinct | AggFunc.Entropy | AggFunc.Mode | AggFunc.Median | AggFunc.Mad =>
         sorted(q.agg, x.values, sel, g)
     }
-    out.mapInPlace(v => if (v.isNaN) 0.0 else v)
+    var k = 0
+    while (k < out.length) { if (out(k).isNaN) out(k) = 0.0; k += 1 }
+    out
   }
 
-  /** `sel` cut at the partition boundaries of the collected table. */
-  private def partitions(sel: Array[Int]): Seq[Array[Int]] = {
-    def firstAtOrAfter(row: Int): Int = {
-      val i = java.util.Arrays.binarySearch(sel, row)
-      if (i >= 0) i else -i - 1
-    }
-    partStart.toSeq.sliding(2).map { case Seq(a, b) => sel.slice(firstAtOrAfter(a), firstAtOrAfter(b)) }.toSeq
+  /** Where each partition of the collected table begins in `sel`:
+    * partition `p`'s selected rows are `sel(cuts(p) until cuts(p + 1))`.
+    */
+  private def cuts(sel: Array[Int]): Array[Int] = partStart.map { row =>
+    val i = java.util.Arrays.binarySearch(sel, row)
+    if (i >= 0) i else -i - 1
   }
 
   private def number(attr: String): Numbers =
@@ -90,12 +91,29 @@ final class ColumnarTable private (
   private def select(p: Predicate, sel: Array[Int]): Array[Int] = p.eqValue match {
     case Some(v) =>
       val c = strings.getOrElse(p.attr, throw new IllegalArgumentException(s"${p.attr} is not a loaded string column"))
-      val code = c.dict.getOrElse(v, -2)
-      sel.filter(i => c.codes(i) == code)
+      val (codes, code) = (c.codes, c.dict.getOrElse(v, -2))
+      val out = new Array[Int](sel.length)
+      var n = 0
+      var j = 0
+      while (j < sel.length) {
+        val i = sel(j)
+        if (codes(i) == code) { out(n) = i; n += 1 }
+        j += 1
+      }
+      java.util.Arrays.copyOf(out, n)
     case None =>
       val c = number(p.attr)
       val (lo, hi) = (p.lo.getOrElse(Double.NegativeInfinity), p.hi.getOrElse(Double.PositiveInfinity))
-      c.nonNull(sel).filter(i => c.values(i) >= lo && c.values(i) <= hi)
+      val (values, rows) = (c.values, c.nonNull(sel))
+      val out = new Array[Int](rows.length)
+      var n = 0
+      var j = 0
+      while (j < rows.length) {
+        val i = rows(j)
+        if (values(i) >= lo && values(i) <= hi) { out(n) = i; n += 1 }
+        j += 1
+      }
+      java.util.Arrays.copyOf(out, n)
   }
 }
 
@@ -103,7 +121,18 @@ object ColumnarTable {
 
   /** A numeric column; `nulls` marks the NULL rows, whose value is 0.0. */
   final case class Numbers(values: Array[Double], nulls: java.util.BitSet) {
-    def nonNull(sel: Array[Int]): Array[Int] = if (nulls.isEmpty) sel else sel.filterNot(nulls.get)
+    def nonNull(sel: Array[Int]): Array[Int] =
+      if (nulls.isEmpty) sel
+      else {
+        val out = new Array[Int](sel.length)
+        var n = 0
+        var j = 0
+        while (j < sel.length) {
+          if (!nulls.get(sel(j))) { out(n) = sel(j); n += 1 }
+          j += 1
+        }
+        java.util.Arrays.copyOf(out, n)
+      }
   }
 
   /** A dictionary-coded column. */
@@ -170,35 +199,50 @@ object ColumnarTable {
 
   /** COUNT, MIN and MAX: one pass, in any row order. */
   private def countMinMax(agg: AggFunc, x: Array[Double], sel: Array[Int], g: Groups): Array[Double] = {
+    val (rowGroup, min, max) = (g.rowGroup, agg == AggFunc.Min, agg == AggFunc.Max)
     val n = new Array[Long](g.nGroups)
     val acc = new Array[Double](g.nGroups)
-    for (i <- sel) {
-      val k = g.rowGroup(i)
+    var j = 0
+    while (j < sel.length) {
+      val i = sel(j)
+      val k = rowGroup(i)
       val v = x(i)
-      if (n(k) == 0 || (agg == AggFunc.Min && v < acc(k)) || (agg == AggFunc.Max && v > acc(k))) acc(k) = v
+      if (n(k) == 0 || (min && v < acc(k)) || (max && v > acc(k))) acc(k) = v
       n(k) += 1
+      j += 1
     }
-    if (agg == AggFunc.Count) n.map(_.toDouble) else acc
+    if (agg == AggFunc.Count) { var k = 0; while (k < n.length) { acc(k) = n(k).toDouble; k += 1 } }
+    acc
   }
 
   /** SUM and AVG: each partition's rows summed in row order, then the
     * partial sums added in partition order.
     */
-  private def sums(avg: Boolean, x: Array[Double], parts: Seq[Array[Int]], g: Groups): Array[Double] = {
+  private def sums(avg: Boolean, x: Array[Double], sel: Array[Int], cuts: Array[Int], g: Groups): Array[Double] = {
+    val rowGroup = g.rowGroup
     val n = new Array[Long](g.nGroups)
     val total = new Array[Double](g.nGroups)
-    for (part <- parts) {
-      val partial = new Array[Double](g.nGroups)
-      val seen = new Array[Boolean](g.nGroups)
-      for (i <- part) {
-        val k = g.rowGroup(i)
+    val partial = new Array[Double](g.nGroups)
+    val seen = new Array[Boolean](g.nGroups)
+    var p = 0
+    while (p + 1 < cuts.length) {
+      java.util.Arrays.fill(partial, 0.0)
+      java.util.Arrays.fill(seen, false)
+      var j = cuts(p)
+      while (j < cuts(p + 1)) {
+        val i = sel(j)
+        val k = rowGroup(i)
         partial(k) += x(i)
         seen(k) = true
         n(k) += 1
+        j += 1
       }
-      for (k <- 0 until g.nGroups if seen(k)) total(k) += partial(k)
+      var k = 0
+      while (k < g.nGroups) { if (seen(k)) total(k) += partial(k); k += 1 }
+      p += 1
     }
-    if (avg) Array.tabulate(g.nGroups)(k => if (n(k) == 0) 0.0 else total(k) / n(k)) else total
+    if (avg) { var k = 0; while (k < g.nGroups) { total(k) = if (n(k) == 0) 0.0 else total(k) / n(k); k += 1 } }
+    total
   }
 
   /** Count, mean and central moment sums 2–4 per group. */
@@ -242,64 +286,96 @@ object ColumnarTable {
   /** Variance, standard deviation and kurtosis: central moments per
     * partition, merged in partition order.
     */
-  private def moments(agg: AggFunc, x: Array[Double], parts: Seq[Array[Int]], g: Groups): Array[Double] = {
+  private def moments(agg: AggFunc, x: Array[Double], sel: Array[Int], cuts: Array[Int], g: Groups): Array[Double] = {
+    val rowGroup = g.rowGroup
     val total = new Moments(g.nGroups)
-    for (part <- parts) {
+    var p = 0
+    while (p + 1 < cuts.length) {
       val partial = new Moments(g.nGroups)
-      for (i <- part) partial.update(g.rowGroup(i), x(i))
-      for (k <- 0 until g.nGroups if partial.n(k) > 0) total.merge(k, partial)
+      var j = cuts(p)
+      while (j < cuts(p + 1)) { val i = sel(j); partial.update(rowGroup(i), x(i)); j += 1 }
+      var k = 0
+      while (k < g.nGroups) { if (partial.n(k) > 0) total.merge(k, partial); k += 1 }
+      p += 1
     }
     import total.{m2, m4, n}
-    Array.tabulate(g.nGroups) { k =>
-      if (n(k) == 0) 0.0
-      else agg match {
-        case AggFunc.VarPop   => m2(k) / n(k)
-        case AggFunc.VarSamp  => if (n(k) == 1) 0.0 else m2(k) / (n(k) - 1)
-        case AggFunc.StdPop   => math.sqrt(m2(k) / n(k))
-        case AggFunc.StdSamp  => if (n(k) == 1) 0.0 else math.sqrt(m2(k) / (n(k) - 1))
-        case AggFunc.Kurtosis => if (m2(k) == 0) 0.0 else n(k) * m4(k) / (m2(k) * m2(k)) - 3.0
-        case other            => throw new IllegalStateException(s"$other is not a moment aggregate")
-      }
+    val out = new Array[Double](g.nGroups)
+    var k = 0
+    while (k < g.nGroups) {
+      out(k) =
+        if (n(k) == 0) 0.0
+        else agg match {
+          case AggFunc.VarPop   => m2(k) / n(k)
+          case AggFunc.VarSamp  => if (n(k) == 1) 0.0 else m2(k) / (n(k) - 1)
+          case AggFunc.StdPop   => math.sqrt(m2(k) / n(k))
+          case AggFunc.StdSamp  => if (n(k) == 1) 0.0 else math.sqrt(m2(k) / (n(k) - 1))
+          case AggFunc.Kurtosis => if (m2(k) == 0) 0.0 else n(k) * m4(k) / (m2(k) * m2(k)) - 3.0
+          case other            => throw new IllegalStateException(s"$other is not a moment aggregate")
+        }
+      k += 1
     }
+    out
   }
 
   /** COUNT_DISTINCT, ENTROPY, MODE, MEDIAN and MAD over each group's
     * values, sorted in place within a contiguous segment per group.
     */
   private def sorted(agg: AggFunc, x: Array[Double], sel: Array[Int], g: Groups): Array[Double] = {
+    val rowGroup = g.rowGroup
     val start = new Array[Int](g.nGroups + 1)
-    for (i <- sel) start(g.rowGroup(i) + 1) += 1
-    for (k <- 0 until g.nGroups) start(k + 1) += start(k)
+    var j = 0
+    while (j < sel.length) { start(rowGroup(sel(j)) + 1) += 1; j += 1 }
+    var k = 0
+    while (k < g.nGroups) { start(k + 1) += start(k); k += 1 }
     val next = start.clone()
     val vals = new Array[Double](sel.length)
-    for (i <- sel) {
-      val k = g.rowGroup(i)
+    j = 0
+    while (j < sel.length) {
+      val i = sel(j)
+      val k = rowGroup(i)
       vals(next(k)) = x(i)
       next(k) += 1
+      j += 1
     }
-    Array.tabulate(g.nGroups) { k =>
+    // The current group's runs of equal values, by ascending value: their
+    // lengths are `runs(0 until nRuns)`.
+    val runs = new Array[Long](sel.length)
+    val out = new Array[Double](g.nGroups)
+    k = 0
+    while (k < g.nGroups) {
       val (a, b) = (start(k), start(k + 1))
-      java.util.Arrays.sort(vals, a, b)
-      // Lengths of the runs of equal values, in ascending value order.
-      def runs: Vector[Int] = {
-        val r = Vector.newBuilder[Int]
+      if (a < b) {
+        java.util.Arrays.sort(vals, a, b)
+        var nRuns = 0
         var s = a
-        for (j <- a + 1 to b) if (j == b || vals(j) != vals(s)) { r += j - s; s = j }
-        r.result()
+        var e = a + 1
+        while (e <= b) {
+          if (e == b || vals(e) != vals(s)) { runs(nRuns) = e - s; nRuns += 1; s = e }
+          e += 1
+        }
+        out(k) = agg match {
+          case AggFunc.CountDistinct => nRuns.toDouble
+          case AggFunc.Entropy       => entropy(scala.collection.immutable.ArraySeq.unsafeWrapArray(runs).take(nRuns))
+          case AggFunc.Mode =>
+            // The first longest run: the smallest of the most frequent values.
+            var best = 0L
+            var at = a
+            var from = a
+            var r = 0
+            while (r < nRuns) {
+              if (runs(r) > best) { best = runs(r); at = from }
+              from += runs(r).toInt
+              r += 1
+            }
+            vals(at)
+          case AggFunc.Median => middle(vals, a, b)
+          case AggFunc.Mad    => mad(vals, a, b)
+          case other          => throw new IllegalStateException(s"$other is not an order-based aggregate")
+        }
       }
-      if (a == b) 0.0
-      else agg match {
-        case AggFunc.CountDistinct => runs.size.toDouble
-        case AggFunc.Entropy       => entropy(runs.map(_.toLong))
-        case AggFunc.Mode =>
-          // The first longest run: the smallest of the most frequent values.
-          val r = runs
-          vals(a + r.take(r.indexOf(r.max)).sum)
-        case AggFunc.Median => median(java.util.Arrays.copyOfRange(vals, a, b))
-        case AggFunc.Mad    => mad(java.util.Arrays.copyOfRange(vals, a, b))
-        case other          => throw new IllegalStateException(s"$other is not an order-based aggregate")
-      }
+      k += 1
     }
+    out
   }
 
   /** Shannon entropy (bits) of the value counts `counts`, summed in the
@@ -316,16 +392,32 @@ object ColumnarTable {
   }
 
   /** Median absolute deviation of non-empty `values` around their median. */
-  private[core] def mad(values: Array[Double]): Double = {
-    val med = median(values)
-    median(values.map(v => math.abs(v - med)))
-  }
+  private[core] def mad(values: Array[Double]): Double = { val s = ascending(values); mad(s, 0, s.length) }
 
   /** Interpolated median: mean of the two middle values for even counts. */
-  private[core] def median(values: Array[Double]): Double = {
+  private[core] def median(values: Array[Double]): Double = { val s = ascending(values); middle(s, 0, s.length) }
+
+  /** A sorted copy of non-empty `values`. */
+  private def ascending(values: Array[Double]): Array[Double] = {
     require(values.nonEmpty, "median of empty array")
-    val s = values.sorted
-    val n = s.length
-    if (n % 2 == 1) s(n / 2) else (s(n / 2 - 1) + s(n / 2)) / 2.0
+    val s = values.clone()
+    java.util.Arrays.sort(s)
+    s
+  }
+
+  /** The median of `s(a until b)`, sorted ascending and non-empty. */
+  private def middle(s: Array[Double], a: Int, b: Int): Double = {
+    val n = b - a
+    if (n % 2 == 1) s(a + n / 2) else (s(a + n / 2 - 1) + s(a + n / 2)) / 2.0
+  }
+
+  /** The median absolute deviation of `s(a until b)`, sorted ascending. */
+  private def mad(s: Array[Double], a: Int, b: Int): Double = {
+    val med = middle(s, a, b)
+    val dev = new Array[Double](b - a)
+    var j = 0
+    while (j < dev.length) { dev(j) = math.abs(s(a + j) - med); j += 1 }
+    java.util.Arrays.sort(dev)
+    middle(dev, 0, dev.length)
   }
 }

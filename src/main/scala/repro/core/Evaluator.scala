@@ -20,8 +20,10 @@ import repro.proxy._
   * never recompute a query.
   *
   * Safe to call from several threads ([[Parallel.map]] runs search units
-  * concurrently). Each loss and proxy key is computed exactly once (a
-  * [[Memo]]), and every store access is one [[FeatureQueryExecutor.lookup]].
+  * concurrently). Each loss, proxy and feature key is computed exactly once
+  * (a [[Memo]]), and every evaluation reaches the store through one
+  * [[FeatureQueryExecutor.lookup]], which computes a missing column outside
+  * the store's monitor: units that query at once do not wait for each other.
   */
 final class Evaluator(
     val executor: FeatureQueryExecutor,
@@ -40,17 +42,19 @@ final class Evaluator(
 ) {
   private val losses = new Memo[String, Double]
   private val proxies = new Memo[String, Double]
-  @volatile private var executed = 0
+  /** The columns this evaluator executed, each also in the store. */
+  private val columns = new Memo[String, Array[Double]]
+  private lazy val trainValidY = DenseData.gather(y, split.trainValid)
 
   /** Feature queries this evaluator executed so far (for cost accounting);
     * columns another evaluator already put in a shared store do not count.
     */
-  def queryExecutions: Int = executed
+  def queryExecutions: Int = columns.size
   /** Number of real (model-training) evaluations so far. */
   def realEvaluations: Int = losses.size
 
   def feature(q: QuerySpec): Array[Double] =
-    FeatureQueryExecutor.lookup(featureStore, q) { executed += 1; executor.featureValues(q) }
+    FeatureQueryExecutor.lookup(featureStore, q)(columns(q.cacheKey)(executor.featureValues(q)))
 
   def realLoss(q: QuerySpec): Double = losses(q.cacheKey) {
     Models.splitLoss(modelKind, task, withFeature(feature(q)), split.train, split.valid, seed, fast = true)
@@ -60,9 +64,9 @@ final class Evaluator(
     val f = feature(q)
     proxy match {
       case MIProxy =>
-        Association.mutualInformation(split.trainValid.map(f), split.trainValid.map(y), task)
+        Association.mutualInformation(DenseData.gather(f, split.trainValid), trainValidY, task)
       case SCProxy =>
-        Association.spearman(split.trainValid.map(f), split.trainValid.map(y))
+        Association.spearman(DenseData.gather(f, split.trainValid), trainValidY)
       case LRProxy =>
         // Fast LR on base + candidate; score = negative validation loss.
         -Models.splitLoss(LRModel, task, withFeature(f), split.train, split.valid, seed, fast = true)

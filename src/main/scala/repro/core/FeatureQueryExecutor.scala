@@ -3,6 +3,7 @@ package repro.core
 import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
 import repro.Memo
+import repro.ml.DenseData
 
 /** Executes predicate-aware feature queries against the relevant table and
   * aligns each feature column to the training rows, given by their key
@@ -35,8 +36,7 @@ final class FeatureQueryExecutor(
     val keyIdx = q.keys.map(allKeys.indexOf)
     require(keyIdx.forall(_ >= 0), s"query keys ${q.keys} not a subset of $allKeys")
     val groups = groupIndexes(q.keys)(columnar.groups(q.keys, trainKeyRows.map(k => keyIdx.map(k))))
-    val byGroup = columnar.aggregate(q, groups)
-    groups.trainGroup.map(byGroup)
+    DenseData.gather(columnar.aggregate(q, groups), groups.trainGroup)
   }
 
   /** DuckDB SQL for `q` over VARCHAR-typed `table` (see [[repro.Oracle]]),
@@ -58,9 +58,17 @@ final class FeatureQueryExecutor(
 object FeatureQueryExecutor {
 
   /** `q`'s column in `store`, or `compute`'s, then stored: the program's one
-    * store access. It holds the store's monitor, so a store that is not
-    * thread-safe sees one access at a time and each missing key is computed once.
+    * way into a store. The store sees one access at a time, each under its
+    * monitor, so it need not be thread-safe: a check for the column, then
+    * one `getOrElseUpdate`. A column the store lacks is computed between the
+    * two, outside the monitor, so a query in flight holds up no other caller
+    * of the store. Callers that miss one key at once each compute it and
+    * get the first column stored; [[Evaluator]] memoizes its `compute`, so
+    * one evaluator computes each key once.
     */
-  def lookup(store: mutable.Map[String, Array[Double]], q: QuerySpec)(compute: => Array[Double]): Array[Double] =
-    store.synchronized(store.getOrElseUpdate(q.cacheKey, compute))
+  def lookup(store: mutable.Map[String, Array[Double]], q: QuerySpec)(compute: => Array[Double]): Array[Double] = {
+    val key = q.cacheKey
+    val computed = if (store.synchronized(store.contains(key))) None else Some(compute)
+    store.synchronized(store.getOrElseUpdate(key, computed.getOrElse(compute)))
+  }
 }

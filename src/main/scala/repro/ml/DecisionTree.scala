@@ -173,14 +173,25 @@ object RegressionTree {
   /** Per feature `f`, the positions `0 until sample.length` ordered by
     * `(ranks(f)(sample(p)), p)`: the presort of the matrix
     * `sample.map(x)` (a bootstrap sample, say) from the ranks of `x`.
+    * A counting sort by rank that keeps positions ascending within a rank;
+    * ranks are dense, so they lie below the row count of `x`.
     */
   def presort(ranks: Array[Array[Int]], sample: Array[Int]): Array[Array[Int]] =
     ranks.map { rank =>
-      val keys = new Array[Long](sample.length)
+      val next = new Array[Int](rank.length + 1) // rank r's first slot, then its next
       var p = 0
-      while (p < keys.length) { keys(p) = (rank(sample(p)).toLong << 32) | p; p += 1 }
-      java.util.Arrays.sort(keys)
-      keys.map(_.toInt)
+      while (p < sample.length) { next(rank(sample(p)) + 1) += 1; p += 1 }
+      var r = 0
+      while (r < rank.length) { next(r + 1) += next(r); r += 1 }
+      val order = new Array[Int](sample.length)
+      p = 0
+      while (p < sample.length) {
+        val r = rank(sample(p))
+        order(next(r)) = p
+        next(r) += 1
+        p += 1
+      }
+      order
     }
 
   /** Per feature `f`, the dense rank of each row's value among the distinct

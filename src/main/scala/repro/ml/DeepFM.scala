@@ -73,11 +73,12 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
     }
     def normY(y: Double) = (y - yScale._1) / yScale._2
 
-    def forward(x: Array[Double]): (Double, Array[Double], Array[Double], Array[Double]) = {
-      // returns (raw output, sumPerFactor S_f, embeddings u, hidden activations h)
-      val sf = new Array[Double](k)
+    /** The raw output for `x`; fills `sf` with the per-factor sums S_f, `u`
+      * with the embeddings and `h` with the hidden activations.
+      */
+    def forward(x: Array[Double], sf: Array[Double], u: Array[Double], h: Array[Double]): Double = {
+      java.util.Arrays.fill(sf, 0.0)
       var fm = 0.0
-      val u = new Array[Double](m * k)
       var i = 0
       while (i < m) {
         var f = 0
@@ -96,19 +97,37 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
       var first = b0
       i = 0
       while (i < m) { first += w0(i) * x(i); i += 1 }
-      val h = new Array[Double](Hidden)
+      // Four units at a time, so each pass over `u` feeds four sums; each
+      // sum still adds its terms in order p = 0, 1, ...
       var j = 0
       while (j < Hidden) {
-        var s = b1(j)
+        val r0 = w1(j)
+        val r1 = w1(j + 1)
+        val r2 = w1(j + 2)
+        val r3 = w1(j + 3)
+        var s0 = b1(j)
+        var s1 = b1(j + 1)
+        var s2 = b1(j + 2)
+        var s3 = b1(j + 3)
         var p = 0
-        while (p < m * k) { s += w1(j)(p) * u(p); p += 1 }
-        h(j) = if (s > 0) s else 0.0
-        j += 1
+        while (p < m * k) {
+          val e = u(p)
+          s0 += r0(p) * e
+          s1 += r1(p) * e
+          s2 += r2(p) * e
+          s3 += r3(p) * e
+          p += 1
+        }
+        h(j) = if (s0 > 0) s0 else 0.0
+        h(j + 1) = if (s1 > 0) s1 else 0.0
+        h(j + 2) = if (s2 > 0) s2 else 0.0
+        h(j + 3) = if (s3 > 0) s3 else 0.0
+        j += 4
       }
       var deep = b2
       j = 0
       while (j < Hidden) { deep += w2(j) * h(j); j += 1 }
-      (first + fm + deep, sf, u, h)
+      first + fm + deep
     }
 
     // The pass ends after the update of the first sample whose output is
@@ -117,6 +136,10 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
     // whatever the remaining samples do: the rest of the pass is dead work.
     // An infinite output is clipped like any other and does not end it.
     var diverged = false
+    // Per-sample buffers, reused by every sample of the attempt.
+    val sf = new Array[Double](k)
+    val u, du = new Array[Double](m * k)
+    val h, dh = new Array[Double](Hidden)
     val order = (0 until n).toArray
     var epoch = 0
     while (epoch < epochs && !diverged) {
@@ -126,7 +149,7 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
       while (oi < n && !diverged) {
         val i = order(oi)
         val x = xs(i)
-        val (raw, sf, u, h) = forward(x)
+        val raw = forward(x, sf, u, h)
         val delta0 = task match {
           case BinaryClassification => Task.sigmoid(raw) - data.y(i)
           case _                    => raw - normY(data.y(i))
@@ -135,7 +158,6 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
         val delta = math.max(-4.0, math.min(4.0, delta0))
         // deep output layer
         mb2 = mom * mb2 - lr * delta; b2 += mb2
-        val dh = new Array[Double](Hidden)
         var j = 0
         while (j < Hidden) {
           mw2(j) = mom * mw2(j) - lr * delta * h(j)
@@ -144,7 +166,7 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
           j += 1
         }
         // gradient wrt embeddings u from the deep layer
-        val du = new Array[Double](m * k)
+        java.util.Arrays.fill(du, 0.0)
         j = 0
         while (j < Hidden) {
           if (dh(j) != 0.0) {
@@ -185,7 +207,7 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
     new Predictor {
       override def scores(x: Array[Double]): Array[Double] = {
         val z = std.transform(Array(x))(0)
-        val (raw, _, _, _) = forward(z)
+        val raw = forward(z, new Array[Double](k), new Array[Double](m * k), new Array[Double](Hidden))
         task match {
           case BinaryClassification => Array(Task.sigmoid(raw))
           case _                    => Array(raw * yScale._2 + yScale._1)
@@ -197,6 +219,6 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
 
 object DeepFMTrainer {
   private val EmbedDim = 4 // k, every field's embedding size
-  private val Hidden = 16  // units of the deep component's ReLU layer
+  private val Hidden = 16  // units of the deep component's ReLU layer; `forward` takes them four at a time
   private val LearningRate = 0.02
 }

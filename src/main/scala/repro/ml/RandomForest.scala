@@ -46,7 +46,7 @@ final class RandomForestTrainer(task: Task, numTrees: Int, seed: Long) extends T
     val samples = Vector.fill(numTrees)(Array.fill(n)(rnd.nextInt(n)))
     val trees = Parallel.map(samples.zipWithIndex) { case (idx, t) =>
       new RegressionTree(MaxDepth, FeatureFraction, s + 31L * t)
-        .fit(idx.map(x), idx.map(y), RegressionTree.presort(ranks, idx))
+        .fit(idx.map(x), DenseData.gather(y, idx), RegressionTree.presort(ranks, idx))
     }.toArray
     row => trees.iterator.map(_.predict(row)).sum / numTrees
   }

@@ -55,10 +55,18 @@ final case class DenseData(x: Array[Array[Double]], y: Array[Double]) {
   require(x.length == y.length, s"x rows ${x.length} != y rows ${y.length}")
   def numRows: Int = x.length
   def numCols: Int = if (x.isEmpty) 0 else x(0).length
-  def select(idx: Array[Int]): DenseData = DenseData(idx.map(x), idx.map(y))
+  def select(idx: Array[Int]): DenseData = DenseData(idx.map(x), DenseData.gather(y, idx))
 }
 
 object DenseData {
+  /** `idx.map(values)` without boxing: the values at `idx`, in its order. */
+  def gather(values: Array[Double], idx: Array[Int]): Array[Double] = {
+    val out = new Array[Double](idx.length)
+    var i = 0
+    while (i < idx.length) { out(i) = values(idx(i)); i += 1 }
+    out
+  }
+
   /** The base matrix with feature columns appended: row i is `base(i)`
     * followed by each column's i-th value, in column order. Each row is one
     * array copy, so the one-column call of the search loop allocates

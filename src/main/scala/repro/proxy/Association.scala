@@ -19,24 +19,38 @@ object Association {
     */
   def equalFreqBins(values: Array[Double]): Array[Int] = {
     require(values.nonEmpty, "no values to bin")
-    val sorted = values.sorted
+    // The order of `java.lang.Double.compare`, as a sort by value gives it.
+    val sorted = values.clone()
+    java.util.Arrays.sort(sorted)
     val edges = (1 until Bins)
       .map(b => sorted((b.toLong * (values.length - 1) / Bins).toInt))
       .distinct
       .toArray
-    values.map { v =>
+    val bins = new Array[Int](values.length)
+    var i = 0
+    while (i < values.length) {
       var b = 0
-      while (b < edges.length && v > edges(b)) b += 1
-      b
+      while (b < edges.length && values(i) > edges(b)) b += 1
+      bins(i) = b
+      i += 1
     }
+    bins
   }
 
   /** Label discretization per task: class ids for classification,
     * equal-frequency bins for regression.
     */
   def labelBins(y: Array[Double], task: Task): Array[Int] = task match {
-    case BinaryClassification | MultiClassification(_) => y.map(_.toInt)
+    case BinaryClassification | MultiClassification(_) => classIds(y)
     case Regression                                    => equalFreqBins(y)
+  }
+
+  /** Class labels as ids. */
+  private def classIds(y: Array[Double]): Array[Int] = {
+    val ids = new Array[Int](y.length)
+    var i = 0
+    while (i < y.length) { ids(i) = y(i).toInt; i += 1 }
+    ids
   }
 
   /** Mutual information (nats) between binned feature and binned label. */
@@ -45,23 +59,54 @@ object Association {
     miFromBins(equalFreqBins(feature), labelBins(y, task))
   }
 
-  /** MI over pre-binned variables. */
+  /** MI over pre-binned variables, bins being small non-negative ids.
+    *
+    * Rows are counted into arrays, but the terms are summed in the order in
+    * which a `HashMap[(Int, Int), Long]` of the cell counts iterates, as
+    * this sum always was: its last bit depends on that order. The order
+    * follows the map's table size, and a map counted row by row grows its
+    * table on an update of a counted cell just as on an insert. So the map
+    * gets the non-zero cells in first-seen order, plus one more update when
+    * a row comes after the last new cell, and ends with the same table.
+    */
   def miFromBins(xb: Array[Int], yb: Array[Int]): Double = {
+    require(xb.length == yb.length, "aligned inputs required")
     val n = xb.length.toDouble
-    val joint = scala.collection.mutable.HashMap.empty[(Int, Int), Long]
-    val px = scala.collection.mutable.HashMap.empty[Int, Long]
-    val py = scala.collection.mutable.HashMap.empty[Int, Long]
+    val px = new Array[Long](idCount(xb))
+    val py = new Array[Long](idCount(yb))
+    val ny = py.length
+    val joint = new Array[Long](px.length * ny)
+    val firstSeen = new Array[Int](joint.length)
+    var cells = 0
+    var lastNew = -1
     var i = 0
     while (i < xb.length) {
-      joint.update((xb(i), yb(i)), joint.getOrElse((xb(i), yb(i)), 0L) + 1)
-      px.update(xb(i), px.getOrElse(xb(i), 0L) + 1)
-      py.update(yb(i), py.getOrElse(yb(i), 0L) + 1)
+      val c = xb(i) * ny + yb(i)
+      if (joint(c) == 0) { firstSeen(cells) = c; cells += 1; lastNew = i }
+      joint(c) += 1
+      px(xb(i)) += 1
+      py(yb(i)) += 1
       i += 1
     }
-    joint.iterator.map { case ((x, yv), c) =>
+    val ordered = scala.collection.mutable.HashMap.empty[(Int, Int), Long]
+    var j = 0
+    while (j < cells) { val c = firstSeen(j); ordered.update((c / ny, c % ny), joint(c)); j += 1 }
+    if (lastNew < xb.length - 1) {
+      val c = firstSeen(cells - 1)
+      ordered.update((c / ny, c % ny), joint(c))
+    }
+    ordered.iterator.map { case ((x, yv), c) =>
       val pxy = c / n
       pxy * math.log(pxy / ((px(x) / n) * (py(yv) / n)))
     }.sum
+  }
+
+  /** One more than the largest id of `bins`; 0 for none. */
+  private def idCount(bins: Array[Int]): Int = {
+    var max = -1
+    var i = 0
+    while (i < bins.length) { max = math.max(max, bins(i)); i += 1 }
+    max + 1
   }
 
   /** |Spearman rank correlation| between feature and label. */
@@ -88,7 +133,7 @@ object Association {
     */
   def chi2(feature: Array[Double], y: Array[Double]): Double = {
     val xb = equalFreqBins(feature)
-    val yb = y.map(_.toInt)
+    val yb = classIds(y)
     val n = xb.length.toDouble
     // Dense (bin, class) counts. A bin or class that no row has sums to 0,
     // so its cells have e = 0 and are skipped, as if it were not there.
@@ -110,7 +155,7 @@ object Association {
     */
   def giniGain(feature: Array[Double], y: Array[Double]): Double = {
     val xb = equalFreqBins(feature)
-    val yb = y.map(_.toInt)
+    val yb = classIds(y)
     def gini(idx: Seq[Int]): Double = {
       if (idx.isEmpty) 0.0
       else {

@@ -131,6 +131,46 @@ class EvaluatorSpec extends SparkSpec with MiniData {
     results.foreach { case (key, loss, proxy) => assert((loss, proxy) == expected(key), key) }
   }
 
+  test("a missing column is computed outside the store's monitor, then stored by one getOrElseUpdate") {
+    val store = scala.collection.mutable.HashMap.empty[String, Array[Double]]
+    var held = Vector.empty[Boolean]
+    val column = FeatureQueryExecutor.lookup(store, signalQuery) { held :+= Thread.holdsLock(store); Array(1.0) }
+    assert(held == Vector(false))
+    assert(store(signalQuery.cacheKey) eq column)
+    assert(FeatureQueryExecutor.lookup(store, signalQuery)(fail("computed a stored column")) eq column)
+
+    // The evaluator's column is computed before the store's getOrElseUpdate,
+    // which then only records it.
+    var ev: Evaluator = null
+    var executedBefore = Vector.empty[Int]
+    val recording = new scala.collection.mutable.AbstractMap[String, Array[Double]] {
+      private val columns = scala.collection.mutable.HashMap.empty[String, Array[Double]]
+      override def getOrElseUpdate(key: String, op: => Array[Double]): Array[Double] =
+        columns.getOrElse(key, { executedBefore :+= ev.queryExecutions; val v = op; columns.update(key, v); v })
+      override def get(key: String): Option[Array[Double]] = columns.get(key)
+      override def iterator: Iterator[(String, Array[Double])] = columns.iterator
+      override def addOne(kv: (String, Array[Double])): this.type = { columns.addOne(kv); this }
+      override def subtractOne(key: String): this.type = { columns.subtractOne(key); this }
+    }
+    ev = new Evaluator(executor, baseX, yArr, BinaryClassification, LRModel, split, MIProxy, 7,
+      featureStore = recording)
+    val f = ev.feature(noiseQuery)
+    assert(executedBefore == Vector(1))
+    assert(recording(noiseQuery.cacheKey) eq f)
+    assert(ev.feature(noiseQuery) eq f)
+    assert(ev.queryExecutions == 1)
+  }
+
+  test("a fresh evaluator over a fresh store executes its queries again") {
+    def run(): Evaluator = {
+      val ev = mkEvaluator()
+      ev.proxyScore(signalQuery); ev.realLoss(noiseQuery); ev.realLoss(signalQuery)
+      ev
+    }
+    assert(run().queryExecutions == 2)
+    assert(run().queryExecutions == 2)
+  }
+
   test("appendColumns rows are base row ++ columns; realLoss fits them") {
     val ev = mkEvaluator()
     val cols = Seq(ev.feature(signalQuery), ev.feature(noiseQuery), ev.feature(signalQuery).map(-_))
