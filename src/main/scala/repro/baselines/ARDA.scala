@@ -31,7 +31,7 @@ object ARDA {
       (0 until 8).foreach { b =>
         val bag = Array.fill(x.length)(rnd.nextInt(x.length))
         val tree = new RegressionTree(maxDepth = 4, featureFraction = 0.7, seed = seed + 131L * (ti * 8 + b))
-        tree.fit(bag.map(x(_)), bag.map(t(_)), RegressionTree.presort(ranks, bag))
+        tree.fit(bag.map(x(_)), DenseData.gather(t, bag), RegressionTree.presort(ranks, bag))
         tree.addImportance(imp)
       }
     }

@@ -64,10 +64,12 @@ object FeatureSelectors {
     // With w the column's standardized weight and z̄ the score at the means,
     // that is |w| for ridge's identity head but |σ(z̄ + w) − σ(z̄)| for a
     // sigmoid head, which depends on the sign of w (softmax: every class).
-    val means = Array.tabulate(train.numCols)(j => train.x.map(_(j)).sum / train.numRows)
-    val stds = Array.tabulate(train.numCols) { j =>
-      val v = train.x.map(r => math.pow(r(j) - means(j), 2)).sum / train.numRows
-      math.max(1e-9, math.sqrt(v))
+    val (n, x) = (train.numRows, train.x)
+    val means, stds = new Array[Double](train.numCols)
+    for (j <- means.indices) {
+      means(j) = DenseData.sum(n)(x(_)(j)) / n
+      // d * d is what `math.pow(d, 2)` returns, in HotSpot's intrinsic and in fdlibm
+      stds(j) = math.max(1e-9, math.sqrt(DenseData.sum(n)(i => { val d = x(i)(j) - means(j); d * d }) / n))
     }
     val base0 = pred.scores(means)
     pool.top(k) { c =>

@@ -35,13 +35,20 @@ final class RegressionTree(
   /** Fits on `x` with `order` = [[RegressionTree.presort]] of `x`. `order`
     * is not modified, so trees fit on one `x` can share one presort.
     */
-  def fit(x: Array[Array[Double]], y: Array[Double], order: Array[Array[Int]]): this.type = {
+  def fit(x: Array[Array[Double]], y: Array[Double], order: Array[Array[Int]]): this.type = { fitRouted(x, y, order); this }
+
+  /** Fits as [[fit]] does and returns each training row's `predict(x(i))`:
+    * the value of the leaf the builder routed row i to, by the same
+    * `x(i)(f) <= threshold` tests that `predict` applies.
+    */
+  private[ml] def fitRouted(x: Array[Array[Double]], y: Array[Double], order: Array[Array[Int]]): Array[Double] = {
     RegressionTree.requireRectangular(x)
     require(x.length == y.length, "need aligned data")
     require(order.length == x(0).length && order.forall(_.length == x.length),
       "order must hold one row ordering per feature")
-    rootOpt = Some(new Builder(x, y, order).build(0, x.length, 0))
-    this
+    val builder = new Builder(x, y, order)
+    rootOpt = Some(builder.build(0, x.length, 0))
+    builder.routed
   }
 
   def predict(row: Array[Double]): Double = {
@@ -61,21 +68,26 @@ final class RegressionTree(
   private final class Builder(x: Array[Array[Double]], y: Array[Double], order: Array[Array[Int]]) {
     private val m = order.length
     private val nFeat = math.max(1, math.ceil(m * featureFraction).toInt)
-    private val cols = Array.tabulate(m)(f => Array.tabulate(x.length)(i => x(i)(f)))
+    private val cols = Array.tabulate(m)(column(x, _))
     private val lists = order.map(_.clone())
     private val rows = Array.range(0, x.length)
-    private val goesLeft = new Array[Boolean](x.length)
+    private val goesLeft = new Array[Int](x.length) // 1 if the row goes left at the node being split
     private val spill = new Array[Int](x.length)
+    /** Each row's value at the leaf it reached. */
+    val routed = new Array[Double](x.length)
 
-    private def mean(lo: Int, hi: Int): Double = {
+    private def leaf(lo: Int, hi: Int): Leaf = {
       var s = 0.0; var p = lo
       while (p < hi) { s += y(rows(p)); p += 1 }
-      s / (hi - lo)
+      val v = s / (hi - lo)
+      p = lo
+      while (p < hi) { routed(rows(p)) = v; p += 1 }
+      Leaf(v)
     }
 
     def build(lo: Int, hi: Int, depth: Int): Node = {
       val size = hi - lo
-      if (depth >= maxDepth || size < 2 * MinSamplesLeaf) return Leaf(mean(lo, hi))
+      if (depth >= maxDepth || size < 2 * MinSamplesLeaf) return leaf(lo, hi)
       val feats = rnd.shuffle((0 until m).toList).take(nFeat)
 
       // Best split = max variance reduction, found with one sweep of each
@@ -111,18 +123,19 @@ final class RegressionTree(
           i += 1
         }
       }
-      if (bestFeat < 0) return Leaf(mean(lo, hi))
+      if (bestFeat < 0) return leaf(lo, hi)
 
       val col = cols(bestFeat)
       var nLeft = 0
       p = lo
       while (p < hi) {
         val r = rows(p)
-        goesLeft(r) = col(r) <= bestThr
-        if (goesLeft(r)) nLeft += 1
+        val g = if (col(r) <= bestThr) 1 else 0
+        goesLeft(r) = g
+        nLeft += g
         p += 1
       }
-      if (nLeft == 0 || nLeft == size) return Leaf(mean(lo, hi))
+      if (nLeft == 0 || nLeft == size) return leaf(lo, hi)
       splitStable(rows, lo, hi)
       // Children at maxDepth are leaves: they only read `rows`.
       if (depth + 1 < maxDepth) lists.foreach(splitStable(_, lo, hi))
@@ -131,13 +144,17 @@ final class RegressionTree(
     }
 
     /** Moves the left-going rows of `a(lo until hi)` before the others,
-      * keeping the order within each side.
+      * keeping the order within each side. Each row is written to both
+      * sides and only its side's cursor advances, so no branch depends on
+      * the data (a left cursor never passes the read position).
       */
     private def splitStable(a: Array[Int], lo: Int, hi: Int): Unit = {
       var l = lo; var s = 0; var p = lo
       while (p < hi) {
         val r = a(p)
-        if (goesLeft(r)) { a(l) = r; l += 1 } else { spill(s) = r; s += 1 }
+        val g = goesLeft(r)
+        a(l) = r; spill(s) = r
+        l += g; s += 1 - g
         p += 1
       }
       System.arraycopy(spill, 0, a, l, s)
@@ -177,41 +194,58 @@ object RegressionTree {
     * ranks are dense, so they lie below the row count of `x`.
     */
   def presort(ranks: Array[Array[Int]], sample: Array[Int]): Array[Array[Int]] =
-    ranks.map { rank =>
-      val next = new Array[Int](rank.length + 1) // rank r's first slot, then its next
-      var p = 0
-      while (p < sample.length) { next(rank(sample(p)) + 1) += 1; p += 1 }
-      var r = 0
-      while (r < rank.length) { next(r + 1) += next(r); r += 1 }
-      val order = new Array[Int](sample.length)
-      p = 0
-      while (p < sample.length) {
-        val r = rank(sample(p))
-        order(next(r)) = p
-        next(r) += 1
-        p += 1
-      }
-      order
-    }
+    ranks.map(sortByRank(_, sample))
 
-  /** Per feature `f`, the dense rank of each row's value among the distinct
-    * values of column `f`, ordered by `java.lang.Double.compare` (so -0.0
-    * ranks below 0.0, as a sort by value puts it).
+  /** The positions `0 until sample.length` ordered by
+    * `(rank(sample(p)), p)`, for dense ranks below `rank.length`.
     */
+  private[ml] def sortByRank(rank: Array[Int], sample: Array[Int]): Array[Int] = {
+    val next = new Array[Int](rank.length + 1) // rank r's first slot, then its next
+    var p = 0
+    while (p < sample.length) { next(rank(sample(p)) + 1) += 1; p += 1 }
+    var r = 0
+    while (r < rank.length) { next(r + 1) += next(r); r += 1 }
+    val order = new Array[Int](sample.length)
+    p = 0
+    while (p < sample.length) {
+      val r = rank(sample(p))
+      order(next(r)) = p
+      next(r) += 1
+      p += 1
+    }
+    order
+  }
+
+  /** Per feature `f`, [[denseRank]] of column `f`. */
   def ranks(x: Array[Array[Double]]): Array[Array[Int]] = {
     requireRectangular(x)
-    Array.tabulate(x(0).length) { f =>
-      val col = x.map(_(f))
-      val sorted = col.clone()
-      java.util.Arrays.sort(sorted)
-      var d = 0
-      var i = 0
-      while (i < sorted.length) {
-        if (i == 0 || java.lang.Double.compare(sorted(i), sorted(d - 1)) != 0) { sorted(d) = sorted(i); d += 1 }
-        i += 1
-      }
-      col.map(v => java.util.Arrays.binarySearch(sorted, 0, d, v))
+    Array.tabulate(x(0).length)(f => denseRank(column(x, f)))
+  }
+
+  /** The dense rank of each value among the distinct values of `col`,
+    * ordered by `java.lang.Double.compare` (so -0.0 ranks below 0.0, as a
+    * sort by value puts it, and every NaN ranks last, as one value).
+    */
+  private[ml] def denseRank(col: Array[Double]): Array[Int] = {
+    val sorted = col.clone()
+    java.util.Arrays.sort(sorted)
+    var d = 0
+    var i = 0
+    while (i < sorted.length) {
+      if (i == 0 || java.lang.Double.compare(sorted(i), sorted(d - 1)) != 0) { sorted(d) = sorted(i); d += 1 }
+      i += 1
     }
+    val rank = new Array[Int](col.length)
+    i = 0
+    while (i < col.length) { rank(i) = java.util.Arrays.binarySearch(sorted, 0, d, col(i)); i += 1 }
+    rank
+  }
+
+  private def column(x: Array[Array[Double]], f: Int): Array[Double] = {
+    val col = new Array[Double](x.length)
+    var i = 0
+    while (i < x.length) { col(i) = x(i)(f); i += 1 }
+    col
   }
 
   private def requireRectangular(x: Array[Array[Double]]): Unit = {

@@ -27,22 +27,23 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
     // non-finite prediction), retry with a 5x smaller rate.
     val width = math.max(1, data.numCols)
     var rate = LearningRate / math.sqrt(math.max(1.0, width / 8.0))
-    var attempt = fitOnce(data, rate)
-    var tries = 0
-    while (tries < 3 && !finitePredictions(attempt, data)) {
-      rate /= 5
-      attempt = fitOnce(data, rate)
-      tries += 1
-    }
-    attempt
-  }
-
-  private def finitePredictions(p: Predictor, data: DenseData): Boolean =
-    data.x.forall(r => p.scores(r).forall(v => !v.isNaN && !v.isInfinity))
-
-  private def fitOnce(data: DenseData, lr: Double): Predictor = {
     val std = Standardizer.fit(data.x)
     val xs = std.transform(data.x)
+    var attempt = fitOnce(data, std, xs, rate)
+    var tries = 0
+    while (tries < 3 && !attempt._2) {
+      rate /= 5
+      attempt = fitOnce(data, std, xs, rate)
+      tries += 1
+    }
+    attempt._1
+  }
+
+  /** One SGD fit at rate `lr` on `xs` = `std.transform(data.x)`, and whether
+    * it scores every training row finite.
+    */
+  private def fitOnce(data: DenseData, std: Standardizer, xs: Array[Array[Double]],
+                      lr: Double): (Predictor, Boolean) = {
     val n = data.numRows
     val m = data.numCols
     val k = EmbedDim
@@ -97,32 +98,24 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
       var first = b0
       i = 0
       while (i < m) { first += w0(i) * x(i); i += 1 }
-      // Four units at a time, so each pass over `u` feeds four sums; each
+      // Eight units at a time, so each pass over `u` feeds eight sums; each
       // sum still adds its terms in order p = 0, 1, ...
       var j = 0
       while (j < Hidden) {
-        val r0 = w1(j)
-        val r1 = w1(j + 1)
-        val r2 = w1(j + 2)
-        val r3 = w1(j + 3)
-        var s0 = b1(j)
-        var s1 = b1(j + 1)
-        var s2 = b1(j + 2)
-        var s3 = b1(j + 3)
+        val r0 = w1(j); val r1 = w1(j + 1); val r2 = w1(j + 2); val r3 = w1(j + 3)
+        val r4 = w1(j + 4); val r5 = w1(j + 5); val r6 = w1(j + 6); val r7 = w1(j + 7)
+        var s0 = b1(j); var s1 = b1(j + 1); var s2 = b1(j + 2); var s3 = b1(j + 3)
+        var s4 = b1(j + 4); var s5 = b1(j + 5); var s6 = b1(j + 6); var s7 = b1(j + 7)
         var p = 0
         while (p < m * k) {
           val e = u(p)
-          s0 += r0(p) * e
-          s1 += r1(p) * e
-          s2 += r2(p) * e
-          s3 += r3(p) * e
+          s0 += r0(p) * e; s1 += r1(p) * e; s2 += r2(p) * e; s3 += r3(p) * e
+          s4 += r4(p) * e; s5 += r5(p) * e; s6 += r6(p) * e; s7 += r7(p) * e
           p += 1
         }
-        h(j) = if (s0 > 0) s0 else 0.0
-        h(j + 1) = if (s1 > 0) s1 else 0.0
-        h(j + 2) = if (s2 > 0) s2 else 0.0
-        h(j + 3) = if (s3 > 0) s3 else 0.0
-        j += 4
+        h(j) = relu(s0); h(j + 1) = relu(s1); h(j + 2) = relu(s2); h(j + 3) = relu(s3)
+        h(j + 4) = relu(s4); h(j + 5) = relu(s5); h(j + 6) = relu(s6); h(j + 7) = relu(s7)
+        j += 8
       }
       var deep = b2
       j = 0
@@ -156,11 +149,14 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
         }
         // Clip the residual so one bad sample cannot blow up the momentum.
         val delta = math.max(-4.0, math.min(4.0, delta0))
+        // Products evaluate left to right, so `lr * delta * h(j)` is
+        // `(lr * delta) * h(j)`: hoisting each left factor keeps the bits.
+        val lrDelta = lr * delta
         // deep output layer
-        mb2 = mom * mb2 - lr * delta; b2 += mb2
+        mb2 = mom * mb2 - lrDelta; b2 += mb2
         var j = 0
         while (j < Hidden) {
-          mw2(j) = mom * mw2(j) - lr * delta * h(j)
+          mw2(j) = mom * mw2(j) - lrDelta * h(j)
           dh(j) = if (h(j) > 0) delta * w2(j) else 0.0
           w2(j) += mw2(j)
           j += 1
@@ -169,31 +165,34 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
         java.util.Arrays.fill(du, 0.0)
         j = 0
         while (j < Hidden) {
-          if (dh(j) != 0.0) {
+          val g = dh(j)
+          if (g != 0.0) {
+            val wj = w1(j); val mj = mw1(j); val lrG = lr * g
             var p = 0
             while (p < m * k) {
-              du(p) += dh(j) * w1(j)(p)
-              mw1(j)(p) = mom * mw1(j)(p) - lr * dh(j) * u(p)
-              w1(j)(p) += mw1(j)(p)
+              du(p) += g * wj(p)
+              mj(p) = mom * mj(p) - lrG * u(p)
+              wj(p) += mj(p)
               p += 1
             }
           }
-          mb1(j) = mom * mb1(j) - lr * dh(j)
+          mb1(j) = mom * mb1(j) - lr * g
           b1(j) += mb1(j)
           j += 1
         }
         // first-order + FM + embedding gradients
-        mb0 = mom * mb0 - lr * delta; b0 += mb0
+        mb0 = mom * mb0 - lrDelta; b0 += mb0
         var ii = 0
         while (ii < m) {
-          mw0(ii) = mom * mw0(ii) - lr * delta * x(ii)
+          val xi = x(ii); val vi = v(ii); val mvi = mv(ii); val deltaX = delta * xi
+          mw0(ii) = mom * mw0(ii) - lrDelta * xi
           w0(ii) += mw0(ii)
           var f = 0
           while (f < k) {
-            val gFm = delta * x(ii) * (sf(f) - v(ii)(f) * x(ii))
-            val gDeep = du(ii * k + f) * x(ii)
-            mv(ii)(f) = mom * mv(ii)(f) - lr * (gFm + gDeep)
-            v(ii)(f) += mv(ii)(f)
+            val gFm = deltaX * (sf(f) - vi(f) * xi)
+            val gDeep = du(ii * k + f) * xi
+            mvi(f) = mom * mvi(f) - lr * (gFm + gDeep)
+            vi(f) += mvi(f)
             f += 1
           }
           ii += 1
@@ -204,21 +203,25 @@ final class DeepFMTrainer(task: Task, epochs: Int, seed: Long) extends Trainer {
       epoch += 1
     }
 
-    new Predictor {
-      override def scores(x: Array[Double]): Array[Double] = {
-        val z = std.transform(Array(x))(0)
-        val raw = forward(z, new Array[Double](k), new Array[Double](m * k), new Array[Double](Hidden))
-        task match {
-          case BinaryClassification => Array(Task.sigmoid(raw))
-          case _                    => Array(raw * yScale._2 + yScale._1)
-        }
-      }
+    def score(raw: Double): Double = task match {
+      case BinaryClassification => Task.sigmoid(raw)
+      case _                    => raw * yScale._2 + yScale._1
     }
+    // The predictor scores `std.transformRow(x)`, which for a training row
+    // is its row of `xs`, bit for bit: check those rows with this fit's buffers.
+    val finite = xs.forall { z => val s = score(forward(z, sf, u, h)); !s.isNaN && !s.isInfinity }
+    val predictor = new Predictor {
+      override def scores(x: Array[Double]): Array[Double] =
+        Array(score(forward(std.transformRow(x), new Array[Double](k), new Array[Double](m * k), new Array[Double](Hidden))))
+    }
+    (predictor, finite)
   }
 }
 
 object DeepFMTrainer {
   private val EmbedDim = 4 // k, every field's embedding size
-  private val Hidden = 16  // units of the deep component's ReLU layer; `forward` takes them four at a time
+  private val Hidden = 16  // units of the deep component's ReLU layer; `forward` takes them eight at a time
   private val LearningRate = 0.02
+
+  private def relu(s: Double): Double = if (s > 0) s else 0.0
 }

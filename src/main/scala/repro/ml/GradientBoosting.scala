@@ -37,16 +37,16 @@ final class GradientBoostingTrainer(task: Task, numTrees: Int, seed: Long) exten
         math.log(p / (1 - p))
       }
     val f = Array.fill(n)(base)
+    val grad = new Array[Double](n) // refilled for each tree; a fitted tree keeps no reference to it
     val trees = new Array[RegressionTree](numTrees)
     var t = 0
     while (t < numTrees) {
-      val grad = Array.tabulate(n) { i =>
-        if (logistic) y(i) - Task.sigmoid(f(i)) else y(i) - f(i)
-      }
-      val tree = new RegressionTree(MaxDepth, featureFraction = 1.0, seed = s + 101L * t)
-      tree.fit(x, grad, order)
       var i = 0
-      while (i < n) { f(i) += LearningRate * tree.predict(x(i)); i += 1 }
+      while (i < n) { grad(i) = if (logistic) y(i) - Task.sigmoid(f(i)) else y(i) - f(i); i += 1 }
+      val tree = new RegressionTree(MaxDepth, featureFraction = 1.0, seed = s + 101L * t)
+      val step = tree.fitRouted(x, grad, order) // = tree.predict(x(i)) per row
+      i = 0
+      while (i < n) { f(i) += LearningRate * step(i); i += 1 }
       trees(t) = tree
       t += 1
     }
@@ -61,6 +61,6 @@ object GradientBoostingTrainer {
   /** One boosted head: base score + shrunken trees fit to gradients. */
   private final case class Head(base: Double, trees: Array[RegressionTree]) {
     def raw(row: Array[Double]): Double =
-      base + trees.iterator.map(_.predict(row)).sum * LearningRate
+      base + DenseData.sum(trees.length)(trees(_).predict(row)) * LearningRate
   }
 }

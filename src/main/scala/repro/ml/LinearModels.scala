@@ -98,7 +98,7 @@ final class LogisticRegressionTrainer(task: Task, epochs: Int, seed: Long) exten
     new Predictor {
       override def scores(x: Array[Double]): Array[Double] = {
         val out = new Array[Double](k)
-        probsInto(std.transform(Array(x))(0), out)
+        probsInto(std.transformRow(x), out)
         out
       }
     }
@@ -152,7 +152,7 @@ final class RidgeRegressionTrainer(l2: Double = 1e-3) extends Trainer {
     val w = LinAlg.solve(a, g)
     new Predictor {
       override def scores(x: Array[Double]): Array[Double] = {
-        val z = std.transform(Array(x))(0)
+        val z = std.transformRow(x)
         var s = w(m); var j = 0
         while (j < m) { s += w(j) * z(j); j += 1 }
         Array(s)

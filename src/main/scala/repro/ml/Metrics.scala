@@ -15,13 +15,18 @@ object Metrics {
     val nNeg = y.length - nPos
     if (nPos == 0 || nNeg == 0) return 0.5
     val r = ranks(scores)
-    val sumPosRanks = y.indices.iterator.filter(y(_) > 0.5).map(r(_)).sum
+    var sumPosRanks = 0.0
+    var i = 0
+    while (i < y.length) { if (y(i) > 0.5) sumPosRanks += r(i); i += 1 }
     (sumPosRanks - nPos * (nPos + 1) / 2.0) / (nPos * nNeg)
   }
 
-  /** Average ranks (1-based, ties averaged). */
+  /** Average ranks (1-based, ties averaged). Positions are ordered by
+    * value under `java.lang.Double.compare`, ties by position, as a stable
+    * sort by value orders them; runs of `==` values share a rank.
+    */
   def ranks(values: Array[Double]): Array[Double] = {
-    val order = values.indices.sortBy(values(_))
+    val order = RegressionTree.sortByRank(RegressionTree.denseRank(values), Array.range(0, values.length))
     val out = new Array[Double](values.length)
     var i = 0
     while (i < order.length) {

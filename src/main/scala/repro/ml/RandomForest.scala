@@ -48,7 +48,7 @@ final class RandomForestTrainer(task: Task, numTrees: Int, seed: Long) extends T
       new RegressionTree(MaxDepth, FeatureFraction, s + 31L * t)
         .fit(idx.map(x), DenseData.gather(y, idx), RegressionTree.presort(ranks, idx))
     }.toArray
-    row => trees.iterator.map(_.predict(row)).sum / numTrees
+    row => DenseData.sum(trees.length)(trees(_).predict(row)) / numTrees
   }
 }
 

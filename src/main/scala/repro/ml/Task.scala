@@ -67,6 +67,18 @@ object DenseData {
     out
   }
 
+  /** `(0 until n).iterator.map(term).sum` without boxing. Like `Iterator.sum`
+    * over a known size, it starts at the first term, not at 0.0, so a sum of
+    * -0.0 terms stays -0.0; it adds in order i = 0, 1, ...; 0.0 when n = 0.
+    */
+  def sum(n: Int)(term: Int => Double): Double = {
+    if (n == 0) return 0.0
+    var s = term(0)
+    var i = 1
+    while (i < n) { s += term(i); i += 1 }
+    s
+  }
+
   /** The base matrix with feature columns appended: row i is `base(i)`
     * followed by each column's i-th value, in column order. Each row is one
     * array copy, so the one-column call of the search loop allocates
@@ -85,8 +97,14 @@ object DenseData {
 
 /** Per-column standardization (mean 0, stddev 1) fit on train rows only. */
 final class Standardizer(mean: Array[Double], std: Array[Double]) {
-  def transform(x: Array[Array[Double]]): Array[Array[Double]] =
-    x.map(row => Array.tabulate(row.length)(j => (row(j) - mean(j)) / std(j)))
+  def transform(x: Array[Array[Double]]): Array[Array[Double]] = x.map(transformRow)
+
+  def transformRow(row: Array[Double]): Array[Double] = {
+    val z = new Array[Double](row.length)
+    var j = 0
+    while (j < row.length) { z(j) = (row(j) - mean(j)) / std(j); j += 1 }
+    z
+  }
 }
 
 object Standardizer {
@@ -94,11 +112,11 @@ object Standardizer {
   def fit(x: Array[Array[Double]]): Standardizer = {
     val n = math.max(1, x.length)
     val m = if (x.isEmpty) 0 else x(0).length
-    val mean = Array.tabulate(m)(j => x.iterator.map(_(j)).sum / n)
-    val std = Array.tabulate(m) { j =>
-      val v = x.iterator.map(r => { val d = r(j) - mean(j); d * d }).sum / n
-      val s = math.sqrt(v)
-      if (s < 1e-12) 1.0 else s
+    val mean, std = new Array[Double](m)
+    for (j <- 0 until m) {
+      mean(j) = DenseData.sum(x.length)(i => x(i)(j)) / n
+      val s = math.sqrt(DenseData.sum(x.length)(i => { val d = x(i)(j) - mean(j); d * d }) / n)
+      std(j) = if (s < 1e-12) 1.0 else s
     }
     new Standardizer(mean, std)
   }

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
+import repro.proxy.Association
 
 class MetricsPropSpec extends AnyFunSuite with PropSupport {
 
@@ -37,6 +38,35 @@ class MetricsPropSpec extends AnyFunSuite with PropSupport {
     check(Prop.forAll(labeled) { case (y, s) =>
       Metrics.rmse(y, s) >= 0.0 && Metrics.rmse(y, y) == 0.0
     })
+  }
+
+  /** Scores with ties, with both zeros, with one NaN, all NaN, or random. */
+  private def scores(n: Int): Gen[Array[Double]] = Gen.oneOf(
+    Gen.listOfN(n, Gen.oneOf(-1.0, 0.5, 2.0)).map(_.toArray),
+    Gen.listOfN(n, Gen.oneOf(-0.0, 0.0, 1.0)).map(_.toArray),
+    for {
+      s <- Gen.listOfN(n, Gen.choose(-1.0, 1.0))
+      at <- Gen.choose(0, n - 1)
+    } yield s.toArray.updated(at, Double.NaN),
+    Gen.const(Array.fill(n)(Double.NaN)),
+    Gen.listOfN(n, Gen.choose(-1e3, 1e3)).map(_.toArray),
+  )
+
+  private def bits(a: Array[Double]): List[Long] = a.toList.map(java.lang.Double.doubleToRawLongBits)
+
+  test("ranks, AUC and Spearman equal the boxed-sort reference bit for bit") {
+    val gen = for {
+      n <- Gen.choose(2, 60)
+      s <- scores(n)
+      f <- scores(n)
+      y <- Gen.listOfN(n, Gen.oneOf(0.0, 1.0))
+    } yield (s, f, y.toArray)
+    check(Prop.forAll(gen) { case (s, f, y) =>
+      val same = bits(Metrics.ranks(s)) == bits(ReferenceMetrics.ranks(s)) &&
+        bits(Array(Metrics.auc(y, s))) == bits(Array(ReferenceMetrics.auc(y, s))) &&
+        bits(Array(Association.spearman(f, s))) == bits(Array(ReferenceMetrics.spearman(f, s)))
+      same :| s"scores ${s.mkString(",")} feature ${f.mkString(",")}"
+    }, minSuccessful = 300)
   }
 
   test("macro F1 is in [0, 1]") {

@@ -49,6 +49,8 @@ class TreeKernelPropSpec extends AnyFunSuite with PropSupport {
     case MultiClassification(k) => Gen.listOfN(n, Gen.choose(0, k - 1).map(_.toDouble))
   }).map(_.toArray)
 
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+
   private def sameScores(a: Array[Array[Double]], b: Array[Array[Double]]): Boolean =
     a.length == b.length && a.indices.forall(i => java.util.Arrays.equals(a(i), b(i)))
 
@@ -66,6 +68,51 @@ class TreeKernelPropSpec extends AnyFunSuite with PropSupport {
       val ref = new SortPerNodeTree(depth, ff, seed).fit(x, y).shape
       (fast == ref) :| s"presorted $fast\nreference $ref"
     }, minSuccessful = 300)
+  }
+
+  test("each training row's routed leaf value is its prediction, bit for bit") {
+    val gen = for {
+      n <- rowCount
+      x <- matrix(n)
+      y <- labels(n, Regression)
+      depth <- Gen.choose(0, 6)
+      ff <- fraction
+      seed <- Gen.choose(0L, 1000L)
+    } yield (x, y, depth, ff, seed)
+    check(Prop.forAll(gen) { case (x, y, depth, ff, seed) =>
+      val tree = new RegressionTree(depth, ff, seed)
+      val routed = tree.fitRouted(x, y, RegressionTree.presort(x))
+      x.indices.forall(i => bits(routed(i)) == bits(tree.predict(x(i))))
+    }, minSuccessful = 300)
+  }
+
+  /** Regression labels all -0.0, constant, random, or a quarter of them the
+    * negative of the least subnormal and the rest 0.0: the last leave no
+    * split worth its gain, and most root leaves round to -0.0, so a forest's
+    * or booster's sum of trees is -0.0 only if it starts at its first term.
+    */
+  private def sumLabels(n: Int): Gen[Array[Double]] = Gen.oneOf(
+    Gen.const(Array.fill(n)(-0.0)),
+    Gen.choose(-5.0, 5.0).map(Array.fill(n)(_)),
+    Gen.listOfN(n, Gen.choose(-4.0, 4.0)).map(_.toArray),
+    Gen.listOfN(n, Gen.frequency(1 -> -Double.MinPositiveValue, 3 -> 0.0)).map(_.toArray),
+  )
+
+  test("regression forest and booster sums equal the reference's bit for bit, -0.0 included") {
+    val gen = for {
+      n <- rowCount
+      x <- matrix(n)
+      y <- sumLabels(n)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (x, y, seed)
+    check(Prop.forAll(gen) { case (x, y, seed) =>
+      val data = DenseData(x, y)
+      val forest = sameScores(new RandomForestTrainer(Regression, numTrees = 4, seed).fit(data).scoresAll(x),
+        new RandomForest(Regression, numTrees = 4, seed).fit(data).scoresAll(x))
+      val booster = sameScores(new GradientBoostingTrainer(Regression, numTrees = 5, seed).fit(data).scoresAll(x),
+        new GradientBoosting(Regression, numTrees = 5, seed).fit(data).scoresAll(x))
+      (forest :| "forest") && (booster :| "booster")
+    }, minSuccessful = 100)
   }
 
   test("random forest scores equal the sort-per-node forest's bit for bit") {
